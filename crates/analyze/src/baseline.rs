@@ -237,10 +237,10 @@ mod tests {
         // A baseline committed before the rename keeps suppressing the
         // successor lint's findings.
         let old = "{\"version\":1,\"counts\":{\"nondet-iter\":{\"a.rs\":2},\
-                    \"lock-ordering\":{\"b.rs\":1}}}";
+                    \"event-protocol\":{\"b.rs\":1}}}";
         let b = Baseline::parse(old).unwrap();
         assert_eq!(b.budget("nondet-taint", "a.rs"), 2);
-        assert_eq!(b.budget("lock-graph", "b.rs"), 1);
+        assert_eq!(b.budget("event-typestate", "b.rs"), 1);
         assert_eq!(b.budget("nondet-iter", "a.rs"), 0, "old name is gone");
         let (kept, suppressed) = b.apply(vec![
             finding("nondet-taint", "a.rs", 3),

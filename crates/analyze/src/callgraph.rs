@@ -13,9 +13,10 @@
 //! Receiver classes are kept on each edge so clients choose their own
 //! precision/soundness trade-off: the determinism-taint lint walks the
 //! full graph (over-approximate — a missed edge would be an unsound
-//! "clean"), while the lock-graph lint drops [`ReceiverKind::Local`]
-//! and [`ReceiverKind::SelfField`] method edges, whose targets are
-//! almost always other types' methods that happen to share a name.
+//! "clean"), while the event-typestate lint drops
+//! [`ReceiverKind::Local`] and [`ReceiverKind::SelfField`] method
+//! edges, whose targets are almost always other types' methods that
+//! happen to share a name.
 
 use std::collections::VecDeque;
 

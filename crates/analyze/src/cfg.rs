@@ -20,8 +20,7 @@
 //! * every node is reachable from the entry.
 //!
 //! The graph feeds the worklist solvers in [`crate::dataflow`]
-//! (event-typestate, cost-units) and answers [`Cfg::reaches_past`] for
-//! the lock-graph lint's branch-join refinement.
+//! (event-typestate, cost-units).
 
 use crate::lexer::{TokKind, Token};
 
@@ -133,35 +132,6 @@ impl Cfg {
                 && n.span.0 <= tok
                 && tok < n.span.1
         })
-    }
-
-    /// True when, starting from the node containing `from_tok`, some
-    /// path reaches a node whose span starts after `past_tok` —
-    /// i.e. control can fall through past that point rather than
-    /// diverging (return/`?`/panic) first. Conservatively `true` when
-    /// `from_tok` falls in no node (dead code, or a span the builder
-    /// treated as opaque).
-    #[must_use]
-    pub fn reaches_past(&self, from_tok: usize, past_tok: usize) -> bool {
-        let Some(start) = self.node_at(from_tok) else {
-            return true;
-        };
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![start];
-        seen[start] = true;
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n];
-            if node.kind != NodeKind::Exit && node.span.0 > past_tok {
-                return true;
-            }
-            for &s in &node.succs {
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
     }
 
     /// Predecessor lists, derived from the successor edges.
@@ -687,46 +657,6 @@ mod tests {
         let stmt = cfg.node_at(2).expect("statement node");
         assert!(cfg.nodes[stmt].succs.contains(&EXIT), "{}", cfg.dump());
         assert_eq!(cfg.nodes[stmt].succs.len(), 2, "also falls through");
-    }
-
-    #[test]
-    fn reaches_past_distinguishes_diverging_branches() {
-        let lexed = lex("{ if hit { drop(g); return; } audit(); }");
-        let cfg = Cfg::build(&lexed.tokens, (0, lexed.tokens.len()));
-        let drop_tok = lexed
-            .tokens
-            .iter()
-            .position(|t| t.is_ident("drop"))
-            .expect("drop");
-        let close = lexed
-            .tokens
-            .iter()
-            .rposition(|t| t.is_punct("}"))
-            .expect("}")
-            - 1;
-        assert!(
-            !cfg.reaches_past(drop_tok, close),
-            "diverging branch cannot reach the join: {}",
-            cfg.dump()
-        );
-
-        let lexed = lex("{ if hit { drop(g); } audit(); }");
-        let cfg = Cfg::build(&lexed.tokens, (0, lexed.tokens.len()));
-        let drop_tok = lexed
-            .tokens
-            .iter()
-            .position(|t| t.is_ident("drop"))
-            .expect("drop");
-        let brace_close = lexed
-            .tokens
-            .iter()
-            .position(|t| t.is_punct("}"))
-            .expect("}");
-        assert!(
-            cfg.reaches_past(drop_tok, brace_close),
-            "fall-through branch reaches the join: {}",
-            cfg.dump()
-        );
     }
 
     #[test]

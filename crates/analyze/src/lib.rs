@@ -24,13 +24,6 @@
 //!   `SimResult`-producing function through the call graph, with the
 //!   call path reported hop by hop. Successor to the file-local
 //!   `nondet-iter`.
-//! * **lock-graph** ([`lockgraph`]) — verifies the global lock
-//!   hierarchy (arbiter → tenant ascending → shard ascending) is
-//!   acyclic on every interprocedural path and keeps shard-lock
-//!   acquisition confined to `lock_shard`/`lock_shard_pair`. Guard
-//!   releases are path-sensitive: a `drop` on a branch that falls
-//!   through to the join releases the guard; a `drop` on a diverging
-//!   branch does not. Successor to the textual `lock-ordering` check.
 //! * **event-typestate** ([`typestate`]) — path-sensitive verification
 //!   of the eviction event grammar: every path from `EvictionBegin`
 //!   reaches exactly one `EvictionEnd` before function exit, no nested
@@ -58,7 +51,6 @@ pub mod cfg;
 pub mod dataflow;
 pub mod lexer;
 pub mod lints;
-pub mod lockgraph;
 pub mod sarif;
 pub mod symbols;
 pub mod taint;
@@ -91,7 +83,6 @@ pub const EVENT_ALLOWED: &[&str] = &[
     "crates/core/src/events.rs",
     "crates/core/src/cache.rs",
     "crates/core/src/shard.rs",
-    "crates/core/src/concurrent.rs",
     "crates/core/src/testutil.rs",
     "crates/sim/src/ladder.rs",
 ];
@@ -103,7 +94,7 @@ const SELF_CRATE: &str = "analyze";
 /// The flat lints that apply to one repo file, from the scoping rules
 /// above. `rel` is the repo-relative path with forward slashes.
 /// (The interprocedural lints scope themselves: see
-/// [`taint::SCOPE_CRATES`] and the lock-graph's home crate.)
+/// [`taint::SCOPE_CRATES`].)
 #[must_use]
 pub fn lint_set_for(rel: &str) -> LintSet {
     let krate = rel
@@ -138,7 +129,6 @@ pub fn scan_repo(root: &Path) -> io::Result<Vec<Finding>> {
     }
     let cg = CallGraph::build(&ws);
     findings.extend(taint::run(&ws, &cg, true));
-    findings.extend(lockgraph::run(&ws, &cg, true));
     findings.extend(typestate::run(&ws, &cg, true));
     findings.extend(units::run(&ws, true));
     findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
@@ -163,7 +153,6 @@ pub fn scan_fixtures(paths: &[PathBuf]) -> io::Result<Vec<Finding>> {
     }
     let cg = CallGraph::build(&ws);
     findings.extend(taint::run(&ws, &cg, false));
-    findings.extend(lockgraph::run(&ws, &cg, false));
     findings.extend(typestate::run(&ws, &cg, false));
     findings.extend(units::run(&ws, false));
     findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
@@ -241,7 +230,6 @@ mod tests {
         for rel in [
             "crates/core/src/events.rs",
             "crates/core/src/shard.rs",
-            "crates/core/src/concurrent.rs",
             "crates/sim/src/ladder.rs",
         ] {
             assert!(EVENT_ALLOWED.contains(&rel), "{rel} must stay exempt");

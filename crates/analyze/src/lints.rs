@@ -4,13 +4,12 @@
 //! Each flat lint is a pass over the token stream of one file (see
 //! [`crate::lexer`]); which lints run on which file is decided by the
 //! scoping rules in [`crate::lint_set_for`]. The interprocedural lints
-//! — determinism taint ([`crate::taint`]) and the lock graph
-//! ([`crate::lockgraph`]) — run over the whole-workspace call graph
-//! instead and produce [`Finding`]s with a call-path [`TraceHop`]
-//! chain. Findings suppressed by a
+//! (e.g. determinism taint, [`crate::taint`]) run over the
+//! whole-workspace call graph instead and produce [`Finding`]s with a
+//! call-path [`TraceHop`] chain. Findings suppressed by a
 //! `// cce-analyze: allow(<lint>): <reason>` annotation (same line or
 //! the line above, reason required) never leave the analyzer; the
-//! pre-interprocedural lint names `nondet-iter` and `lock-ordering`
+//! pre-interprocedural lint names `nondet-iter` and `event-protocol`
 //! are honored as aliases for their successors so existing
 //! annotations keep working.
 
@@ -23,20 +22,17 @@ pub const COST_CONSTANT: &str = "cost-constant";
 /// See [`NONDET_TAINT`].
 pub const PANIC_PATH: &str = "panic-path";
 /// See [`NONDET_TAINT`].
-pub const LOCK_GRAPH: &str = "lock-graph";
-/// See [`NONDET_TAINT`].
 pub const EVENT_TYPESTATE: &str = "event-typestate";
 /// See [`NONDET_TAINT`].
 pub const COST_UNITS: &str = "cost-units";
 
 /// Historical lint names accepted as annotation aliases and migrated
 /// in baselines: the file-local `nondet-iter` became the
-/// interprocedural [`NONDET_TAINT`], the textual `lock-ordering`
-/// became [`LOCK_GRAPH`], and the construction-site `event-protocol`
-/// check became the path-sensitive [`EVENT_TYPESTATE`] grammar lint.
+/// interprocedural [`NONDET_TAINT`] and the construction-site
+/// `event-protocol` check became the path-sensitive
+/// [`EVENT_TYPESTATE`] grammar lint.
 pub const LINT_RENAMES: &[(&str, &str)] = &[
     ("nondet-iter", NONDET_TAINT),
-    ("lock-ordering", LOCK_GRAPH),
     ("event-protocol", EVENT_TYPESTATE),
 ];
 
@@ -381,10 +377,8 @@ fn f(v: Option<u32>) -> u32 {
     fn legacy_lint_names_suppress_their_successors() {
         let lexed = lex("
 // cce-analyze: allow(nondet-iter): order cannot reach output
-// cce-analyze: allow(lock-ordering): guard dropped on the line above
 ");
         assert!(is_suppressed(&lexed, NONDET_TAINT, 2));
-        assert!(is_suppressed(&lexed, LOCK_GRAPH, 3));
         assert!(
             !is_suppressed(&lexed, PANIC_PATH, 2),
             "aliases are per-lint"

@@ -18,7 +18,7 @@ USAGE:
 
 With no FILES, lints every crates/*/src/**/*.rs under --root using the
 per-crate scoping rules; the interprocedural passes (nondet-taint,
-lock-graph) see the whole workspace at once. With FILES, lints exactly
+event-typestate) see the whole workspace at once. With FILES, lints exactly
 those files as one miniature workspace with every lint enabled and no
 path exemptions (fixture mode).
 

@@ -39,10 +39,6 @@ fn rule_help(lint: &str) -> &'static str {
              cross-unit +/- arithmetic, and integer cycle accumulators must \
              use saturating/checked ops."
         }
-        crate::lints::LOCK_GRAPH => {
-            "Locks must follow the global hierarchy arbiter \u{2192} tenant \
-             (ascending) \u{2192} shard (ascending) on every interprocedural path."
-        }
         _ => "cce-analyze finding.",
     }
 }
@@ -155,7 +151,7 @@ pub fn to_sarif(findings: &[Finding]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::{Finding, TraceHop, LOCK_GRAPH, NONDET_TAINT};
+    use crate::lints::{Finding, TraceHop, NONDET_TAINT, PANIC_PATH};
 
     fn sample() -> Vec<Finding> {
         let mut with_trace = Finding::new(
@@ -181,8 +177,8 @@ mod tests {
             Finding::new(
                 "crates/core/src/b.rs",
                 11,
-                LOCK_GRAPH,
-                "backward edge".to_owned(),
+                PANIC_PATH,
+                "unwrap on a library path".to_owned(),
             ),
         ]
     }
@@ -202,7 +198,7 @@ mod tests {
             .iter()
             .filter_map(|r| r.get("id").and_then(Json::as_str))
             .collect();
-        assert_eq!(ids, vec![LOCK_GRAPH, NONDET_TAINT]);
+        assert_eq!(ids, vec![NONDET_TAINT, PANIC_PATH]);
         assert_eq!(run.get("results").and_then(Json::as_arr).unwrap().len(), 2);
     }
 

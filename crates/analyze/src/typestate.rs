@@ -204,9 +204,8 @@ fn prepare(ws: &Workspace, cg: &CallGraph, id: usize) -> FnInfo {
     let emissions = emission_sites(tokens, f.body);
     let mut events: Vec<Event> = emissions.iter().copied().map(Event::Emit).collect();
     // Admitted call edges, merged per call site (a name can resolve to
-    // several candidates). Local/SelfField receiver edges are dropped
-    // exactly as in the lock graph: their name-only targets are other
-    // types' methods.
+    // several candidates). Local/SelfField receiver edges are dropped:
+    // their name-only targets are other types' methods.
     let mut per_site: Vec<(usize, u32, Vec<usize>)> = Vec::new();
     for e in &cg.edges[id] {
         let s = &cg.sites[id][e.site];
@@ -677,7 +676,7 @@ fn report(
                 EVENT_TYPESTATE,
                 format!(
                     "direct construction of CacheEvent::{} outside the event machinery \
-                     (crates/core/src/{{events,cache,shard,concurrent,testutil}}.rs and \
+                     (crates/core/src/{{events,cache,shard,testutil}}.rs and \
                      the conformance-pinned crates/sim/src/ladder.rs); organizations \
                      must stream evictions through cce_core::EvictionScope so the \
                      begin/end grammar cannot be violated",

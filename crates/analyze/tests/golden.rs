@@ -68,16 +68,6 @@ fn nondet_taint_pair() {
 }
 
 #[test]
-fn lock_graph_pair() {
-    assert_pair(
-        "lock-graph",
-        "lock_graph_violating.rs",
-        "lock_graph_clean.rs",
-        3,
-    );
-}
-
-#[test]
 fn cost_constant_pair() {
     assert_pair(
         "cost-constant",
@@ -336,52 +326,6 @@ fn repo_reports_nothing_above_committed_baseline() {
     assert!(
         out.status.success(),
         "repo has findings above baseline:\n{stdout}"
-    );
-}
-
-#[test]
-fn lock_model_matches_the_real_concurrent_cache() {
-    // Cross-check the lint's static model against the actual
-    // crates/core/src/concurrent.rs: the canonical helpers transfer
-    // guards, the hierarchy descent in review() touches all three
-    // classes, and the whole file simulates without violations.
-    use cce_analyze::callgraph::CallGraph;
-    use cce_analyze::lockgraph::{self, LockClass};
-    use cce_analyze::symbols::Workspace;
-    use std::collections::BTreeSet;
-
-    let src = std::fs::read_to_string(repo_root().join("crates/core/src/concurrent.rs"))
-        .expect("read concurrent.rs");
-    let mut ws = Workspace::default();
-    ws.add_file("crates/core/src/concurrent.rs", &src);
-    let cg = CallGraph::build(&ws);
-
-    let model = lockgraph::model(&ws, &cg);
-    let q = |name: &str| format!("cce_core::concurrent::ConcurrentCache::{name}");
-    assert!(model.returns_guard.contains(&q("lock_shard")));
-    assert!(model.returns_guard.contains(&q("lock_tenant")));
-    assert_eq!(
-        model.may_acquire[&q("lock_shard")],
-        BTreeSet::from([LockClass::Shard])
-    );
-    assert_eq!(
-        model.may_acquire[&q("lock_shard_pair")],
-        BTreeSet::from([LockClass::Shard])
-    );
-    assert_eq!(
-        model.may_acquire[&q("lock_tenant")],
-        BTreeSet::from([LockClass::Tenant])
-    );
-    assert_eq!(
-        model.may_acquire[&q("review")],
-        BTreeSet::from([LockClass::Arbiter, LockClass::Tenant, LockClass::Shard]),
-        "review descends the full hierarchy"
-    );
-
-    let findings = lockgraph::run(&ws, &cg, true);
-    assert!(
-        findings.is_empty(),
-        "the concurrent layer must satisfy its own lock model: {findings:?}"
     );
 }
 

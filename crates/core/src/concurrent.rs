@@ -1,32 +1,30 @@
 //! Concurrent multi-tenant serving: [`ConcurrentSession`].
 //!
 //! The ROADMAP's production-scale step: N guest programs (tenants) are
-//! served against one sharded code cache **concurrently**, the way a
-//! shared dynamic-optimization service would host several translated
-//! processes. The design keeps three properties the single-threaded
-//! layers already guarantee:
+//! served **concurrently**, the way a shared dynamic-optimization
+//! service would host several translated processes. The design keeps
+//! three properties the single-threaded layers already guarantee:
 //!
-//! * **Per-tenant determinism.** Every tenant owns a private lane (a
-//!   [`CodeCache`]) inside each shard plus a private cross-shard link
-//!   graph, and its lanes are sized by the same
-//!   [`crate::shard::shard_capacities`] split and routed by the same
-//!   jump hash a solo [`crate::shard::ShardedCache`] would use. A
-//!   tenant's event stream and [`CacheStats`] are therefore
-//!   **byte-identical** to that tenant running alone single-threaded,
-//!   no matter how the global interleaving schedules the other tenants
-//!   (enforced by `tests/concurrent_conformance.rs`).
-//! * **Deadlock freedom.** Locks form a fixed hierarchy: the arbiter
-//!   lock, then tenant locks in ascending tenant index, then shard
-//!   locks in ascending shard index. The only two places allowed to
-//!   acquire a shard lock are [`ConcurrentCache::lock_shard`] and the
-//!   ordered-acquire helper [`ConcurrentCache::lock_shard_pair`] —
-//!   cce-analyze's `lock-ordering` lint flags any other acquisition.
-//! * **Honest accounting.** Cross-shard links are charged through the
-//!   same [`CrossShardSink`] rewriter the sharded cache uses, and a
-//!   capacity re-partition pays for itself: lanes are flushed (severing
-//!   their cross-shard links at real Eq. 4 cost), re-sized via
-//!   [`CodeCache::replace_org`] (statistics and the `seen` set survive)
-//!   and re-populated block by block.
+//! * **Per-tenant determinism.** Every tenant owns a private
+//!   [`ShardedCache`] — its lanes, its cross-shard link graph — built
+//!   with the same [`shard_capacities`] split and routed by the same
+//!   jump hash a solo sharded cache uses. A tenant's event stream and
+//!   [`CacheStats`] are therefore **byte-identical** to that tenant
+//!   running alone single-threaded, no matter how the global
+//!   interleaving schedules the other tenants (enforced by
+//!   `tests/concurrent_conformance.rs`).
+//! * **Deadlock freedom by ownership.** There is one lock per tenant
+//!   and one for the arbiter. A serving call takes exactly its own
+//!   tenant's lock and releases it before counting the access; only the
+//!   arbiter's review ever holds more than one lock — the arbiter lock
+//!   first, then every tenant lock in ascending tenant index.
+//!   `tests/lock_interleave.rs` attacks that rule under real scheduling.
+//! * **Honest accounting.** Cross-shard links are charged by the
+//!   tenant's own sharded cache, and a capacity re-partition pays for
+//!   itself: lanes are flushed (severing their cross-shard links at
+//!   real Eq. 4 cost), re-sized via [`crate::CodeCache::replace_org`]
+//!   (statistics and the `seen` set survive) and re-populated block by
+//!   block.
 //!
 //! Capacity arbitration follows Memshare (Cidon et al., ATC'17): every
 //! `review_period` accesses the arbiter compares tenants by **ghost
@@ -40,14 +38,13 @@
 
 use crate::cache::{AccessResult, CodeCache, InsertSummary};
 use crate::error::CacheError;
-use crate::events::{EventSink, NullSink};
+use crate::events::EventSink;
 use crate::ids::{Granularity, SuperblockId};
-use crate::links::LinkGraph;
 use crate::org::fine_fifo::FineFifo;
 use crate::org::unit_fifo::UnitFifo;
 use crate::org::CacheOrg;
 use crate::session::{AccessOutcome, CacheSession, InsertRequest};
-use crate::shard::{jump_hash, shard_capacities, CrossShardExtras, CrossShardSink};
+use crate::shard::{shard_capacities, ShardedCache};
 use crate::stats::CacheStats;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -165,46 +162,35 @@ pub struct ArbiterDecision {
     pub blocks_dropped: u64,
 }
 
-/// One shard: every tenant's private lane behind a single lock. Lanes
-/// are indexed by tenant, so `lanes[t]` is tenant `t`'s slice of this
-/// shard's capacity.
-#[derive(Debug)]
-struct ShardSlot {
-    lanes: Vec<CodeCache>,
+/// One tenant behind its lock: the tenant's private sharded cache and
+/// the factory the arbiter re-sizes it with.
+struct Tenant {
+    cache: ShardedCache,
+    factory: OrgFactory,
 }
 
-/// Per-tenant state that is not per-shard: the tenant's cross-shard
-/// link graph and the bookkeeping its lanes cannot see.
-struct TenantState {
-    xlinks: LinkGraph,
-    extras: CrossShardExtras,
-    /// `None` for the single-tenant wrapper path ([`crate::shard::ShardedCache`]
-    /// over pre-built shards), where no re-partitioning is possible.
-    factory: Option<OrgFactory>,
-}
-
-impl TenantState {
-    fn new(factory: Option<OrgFactory>) -> TenantState {
-        TenantState {
-            xlinks: LinkGraph::new(),
-            extras: CrossShardExtras::default(),
-            factory,
-        }
+impl Tenant {
+    /// Builds one replacement organization per shard at a new total
+    /// budget, or `None` when the factory rejects a slice.
+    fn build_orgs(&self, total: u64) -> Option<Vec<Box<dyn CacheOrg>>> {
+        shard_capacities(total, self.cache.shard_count() as u32)
+            .into_iter()
+            .map(|c| (self.factory)(c).ok())
+            .collect()
     }
 }
 
-impl fmt::Debug for TenantState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TenantState")
-            .field("xlinks", &self.xlinks)
-            .field("extras", &self.extras)
-            .field("resizable", &self.factory.is_some())
-            .finish()
-    }
+/// The Memshare-style arbiter: the global access counter that paces
+/// its reviews, and its mutable state behind the one lock that is
+/// always taken before any tenant lock.
+struct Arbiter {
+    /// Global accesses between reviews (at least 1).
+    review_period: u64,
+    /// Global access counter driving review epochs.
+    accesses: AtomicU64,
+    state: Mutex<ArbiterState>,
 }
 
-/// The arbiter's mutable state, guarded by its own lock at the top of
-/// the hierarchy.
 #[derive(Debug)]
 struct ArbiterState {
     config: ArbiterConfig,
@@ -219,53 +205,28 @@ struct ArbiterState {
     decisions: Vec<ArbiterDecision>,
 }
 
-/// The shared concurrent cache: shards behind per-shard locks, tenants
-/// behind per-tenant locks, an optional arbiter on top. All serving
-/// methods take `&self`; [`ConcurrentSession`] hands out clones of one
-/// `Arc` of this.
-pub(crate) struct ConcurrentCache {
-    shards: Vec<Mutex<ShardSlot>>,
-    tenants: Vec<Mutex<TenantState>>,
-    arbiter: Option<Mutex<ArbiterState>>,
-    /// Copy of the arbiter's `review_period` (0 = no arbiter), readable
-    /// without a lock on the access fast path.
-    review_period: u64,
-    /// Global access counter driving review epochs.
-    accesses: AtomicU64,
+/// The shared concurrent cache: one lock per tenant, an optional
+/// arbiter on top. All serving methods take `&self`;
+/// [`ConcurrentSession`] hands out clones of one `Arc` of this.
+struct ConcurrentCache {
+    tenants: Vec<Mutex<Tenant>>,
+    arbiter: Option<Arbiter>,
+    shard_count: usize,
 }
 
 impl fmt::Debug for ConcurrentCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConcurrentCache")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shard_count)
             .field("tenants", &self.tenants.len())
             .field("arbiter", &self.arbiter.is_some())
-            .field("accesses", &self.accesses.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl ConcurrentCache {
-    /// Single-tenant construction over pre-built shards — the
-    /// [`crate::shard::ShardedCache`] path. No factory, so no arbiter.
-    pub(crate) fn from_shard_caches(shards: Vec<CodeCache>) -> Result<ConcurrentCache, CacheError> {
-        if shards.is_empty() {
-            return Err(CacheError::ZeroCapacity);
-        }
-        Ok(ConcurrentCache {
-            shards: shards
-                .into_iter()
-                .map(|c| Mutex::new(ShardSlot { lanes: vec![c] }))
-                .collect(),
-            tenants: vec![Mutex::new(TenantState::new(None))],
-            arbiter: None,
-            review_period: 0,
-            accesses: AtomicU64::new(0),
-        })
-    }
-
-    /// Multi-tenant construction: every tenant's budget is split over
-    /// `shard_count` shards exactly like a solo sharded cache.
+    /// Every tenant's budget is split over `shard_count` shards exactly
+    /// like a solo sharded cache.
     fn build(
         tenants: Vec<TenantConfig>,
         shard_count: u32,
@@ -274,316 +235,63 @@ impl ConcurrentCache {
         if tenants.is_empty() || shard_count == 0 {
             return Err(CacheError::ZeroCapacity);
         }
-        let budgets: Vec<u64> = tenants.iter().map(|tc| tc.capacity).collect();
-        let splits: Vec<Vec<u64>> = tenants
-            .iter()
-            .map(|tc| shard_capacities(tc.capacity, shard_count))
-            .collect();
-        let mut shards = Vec::with_capacity(shard_count as usize);
-        for s in 0..shard_count as usize {
-            let lanes = tenants
-                .iter()
-                .zip(&splits)
-                .map(|(tc, split)| Ok(CodeCache::new((tc.factory)(split[s])?)))
-                .collect::<Result<Vec<_>, CacheError>>()?;
-            shards.push(Mutex::new(ShardSlot { lanes }));
-        }
         let n = tenants.len();
-        let review_period = arbiter.as_ref().map_or(0, |a| a.review_period.max(1));
+        let budgets: Vec<u64> = tenants.iter().map(|tc| tc.capacity).collect();
+        let tenants = tenants
+            .into_iter()
+            .map(|tc| {
+                let lanes = shard_capacities(tc.capacity, shard_count)
+                    .into_iter()
+                    .map(|c| Ok(CodeCache::new((tc.factory)(c)?)))
+                    .collect::<Result<Vec<_>, CacheError>>()?;
+                Ok(Mutex::new(Tenant {
+                    cache: ShardedCache::new(lanes)?,
+                    factory: tc.factory,
+                }))
+            })
+            .collect::<Result<Vec<_>, CacheError>>()?;
         Ok(ConcurrentCache {
-            shards,
-            tenants: tenants
-                .into_iter()
-                .map(|tc| Mutex::new(TenantState::new(Some(tc.factory))))
-                .collect(),
-            arbiter: arbiter.map(|config| {
-                Mutex::new(ArbiterState {
+            tenants,
+            arbiter: arbiter.map(|config| Arbiter {
+                review_period: config.review_period.max(1),
+                accesses: AtomicU64::new(0),
+                state: Mutex::new(ArbiterState {
                     config,
                     reviews: 0,
                     ghosts: vec![0.0; n],
                     last_capacity_misses: vec![0; n],
                     budgets,
                     decisions: Vec::new(),
-                })
+                }),
             }),
-            review_period,
-            accesses: AtomicU64::new(0),
+            shard_count: shard_count as usize,
         })
     }
 
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    pub(crate) fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
-    /// The home shard of `id` — the same pure function a solo
-    /// [`crate::shard::ShardedCache`] uses, so per-tenant routing is
-    /// identical to the tenant running alone.
-    pub(crate) fn shard_of(&self, id: SuperblockId) -> usize {
-        jump_hash(id.0, self.shards.len() as u32) as usize
-    }
-
-    /// Locks one shard slot. Together with
-    /// [`ConcurrentCache::lock_shard_pair`] this is one of the only two
-    /// functions allowed to acquire a shard lock (the `lock-ordering`
-    /// lint in cce-analyze enforces this); both sit below the tenant
-    /// locks in the fixed hierarchy.
-    fn lock_shard(&self, s: usize) -> MutexGuard<'_, ShardSlot> {
-        self.shards[s]
+    /// Locks one tenant. Lane state is a cache, so a panicking thread
+    /// must not brick the tenant: poisoning is ignored.
+    fn lock_tenant(&self, tenant: TenantId) -> MutexGuard<'_, Tenant> {
+        self.tenants[tenant.0 as usize]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Locks two **distinct** shard slots in the fixed global order —
-    /// ascending shard index — and returns the guards in caller order.
-    /// This is the canonical ordered-acquire helper: any code path that
-    /// needs two shards at once must come through here, or two threads
-    /// linking `a → b` and `b → a` could deadlock.
-    fn lock_shard_pair(
-        &self,
-        a: usize,
-        b: usize,
-    ) -> (MutexGuard<'_, ShardSlot>, MutexGuard<'_, ShardSlot>) {
-        debug_assert_ne!(a, b, "use lock_shard for a single shard");
-        if a < b {
-            let ga = self.shards[a]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let gb = self.shards[b]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            (ga, gb)
-        } else {
-            let gb = self.shards[b]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            let ga = self.shards[a]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            (ga, gb)
-        }
-    }
-
-    fn lock_tenant(&self, t: usize) -> MutexGuard<'_, TenantState> {
-        self.tenants[t]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Runs `f` against one lane under its shard lock — the inspection
-    /// hook behind [`crate::shard::ShardedCache::with_shard`].
-    pub(crate) fn with_lane<R>(&self, s: usize, t: usize, f: impl FnOnce(&CodeCache) -> R) -> R {
-        f(&self.lock_shard(s).lanes[t])
     }
 
     /// Counts one access toward the review epoch and runs a review when
-    /// the epoch boundary is crossed. Callers must have released every
-    /// tenant and shard lock first.
+    /// the epoch boundary is crossed. Callers must have released their
+    /// tenant lock first. Without an arbiter nobody reads the count, so
+    /// nothing is counted.
     fn note_access(&self) {
-        let n = self.accesses.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.review_period != 0 && n.is_multiple_of(self.review_period) {
-            self.review(n / self.review_period);
+        let Some(arbiter) = &self.arbiter else { return };
+        let n = arbiter.accesses.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(arbiter.review_period) {
+            self.review(arbiter, n / arbiter.review_period);
         }
-    }
-
-    pub(crate) fn access_for(&self, t: usize, id: SuperblockId) -> AccessResult {
-        let s = self.shard_of(id);
-        let result = {
-            let mut slot = self.lock_shard(s);
-            slot.lanes[t].access(id)
-        };
-        self.note_access();
-        result
-    }
-
-    /// The tenant-tagged insert path: byte-for-byte the arithmetic of
-    /// [`crate::shard::ShardedCache::access_or_insert`], against tenant
-    /// `t`'s private lanes and cross-shard link graph.
-    pub(crate) fn access_or_insert_for(
-        &self,
-        t: usize,
-        req: InsertRequest,
-        sink: &mut dyn EventSink,
-    ) -> Result<AccessOutcome, CacheError> {
-        let mut tstate = self.lock_tenant(t);
-        let s = self.shard_of(req.id);
-        let mut slot = self.lock_shard(s);
-        let lane = &mut slot.lanes[t];
-        let access = lane.access(req.id);
-        if access.is_hit() {
-            drop(slot);
-            drop(tstate);
-            self.note_access();
-            return Ok(AccessOutcome {
-                access,
-                inserted: None,
-            });
-        }
-        // A hint routed to a different shard cannot inform placement in
-        // this one; same-shard hints pass through untouched.
-        let hint = req.hint.filter(|h| self.shard_of(*h) == s);
-        let TenantState { xlinks, extras, .. } = &mut *tstate;
-        let mut wrapper = CrossShardSink::new(sink, &mut *xlinks);
-        let result = lane.insert_request(
-            InsertRequest::new(req.id, req.size).with_hint(hint),
-            &mut wrapper,
-        );
-        let mut summary = match result {
-            Ok(summary) => summary,
-            Err(e) => {
-                drop(slot);
-                drop(tstate);
-                self.note_access();
-                return Err(e);
-            }
-        };
-        summary.unlink_operations += wrapper.unlink_operations;
-        summary.links_unlinked += wrapper.links_unlinked;
-        extras.unlink_operations += u64::from(wrapper.unlink_operations);
-        extras.links_unlinked += wrapper.links_unlinked;
-        extras.links_dropped_free += wrapper.links_dropped_free;
-        drop(slot);
-        drop(tstate);
-        self.note_access();
-        Ok(AccessOutcome {
-            access,
-            inserted: Some(summary),
-        })
-    }
-
-    pub(crate) fn link_for(
-        &self,
-        t: usize,
-        from: SuperblockId,
-        to: SuperblockId,
-    ) -> Result<bool, CacheError> {
-        let mut tstate = self.lock_tenant(t);
-        let sf = self.shard_of(from);
-        let st = self.shard_of(to);
-        if sf == st {
-            let mut slot = self.lock_shard(sf);
-            return slot.lanes[t].link(from, to);
-        }
-        let (gf, gt) = self.lock_shard_pair(sf, st);
-        if !gf.lanes[t].is_resident(from) {
-            return Err(CacheError::NotResident(from));
-        }
-        if !gt.lanes[t].is_resident(to) {
-            return Err(CacheError::NotResident(to));
-        }
-        let new = tstate.xlinks.add_link(from, to);
-        if new {
-            tstate.extras.links_created += 1;
-        }
-        Ok(new)
-    }
-
-    pub(crate) fn flush_for(&self, t: usize, sink: &mut dyn EventSink) -> Option<InsertSummary> {
-        let mut tstate = self.lock_tenant(t);
-        let TenantState { xlinks, extras, .. } = &mut *tstate;
-        let mut total: Option<InsertSummary> = None;
-        // Shard-index order: each lane flush settles its own links and,
-        // via the wrapper, the cross-shard links its victims touch.
-        for s in 0..self.shards.len() {
-            let mut slot = self.lock_shard(s);
-            let mut wrapper = CrossShardSink::new(&mut *sink, &mut *xlinks);
-            if let Some(mut summary) = slot.lanes[t].flush(&mut wrapper) {
-                summary.unlink_operations += wrapper.unlink_operations;
-                summary.links_unlinked += wrapper.links_unlinked;
-                extras.unlink_operations += u64::from(wrapper.unlink_operations);
-                extras.links_unlinked += wrapper.links_unlinked;
-                extras.links_dropped_free += wrapper.links_dropped_free;
-                let tot = total.get_or_insert_with(InsertSummary::default);
-                tot.padding += summary.padding;
-                tot.evictions += summary.evictions;
-                tot.blocks_evicted += summary.blocks_evicted;
-                tot.bytes_evicted += summary.bytes_evicted;
-                tot.unlink_operations += summary.unlink_operations;
-                tot.links_unlinked += summary.links_unlinked;
-            }
-        }
-        total
-    }
-
-    pub(crate) fn is_resident_for(&self, t: usize, id: SuperblockId) -> bool {
-        let s = self.shard_of(id);
-        self.lock_shard(s).lanes[t].is_resident(id)
-    }
-
-    pub(crate) fn contains_link_for(&self, t: usize, from: SuperblockId, to: SuperblockId) -> bool {
-        let sf = self.shard_of(from);
-        if sf == self.shard_of(to) {
-            self.lock_shard(sf).lanes[t]
-                .link_graph()
-                .contains_link(from, to)
-        } else {
-            self.lock_tenant(t).xlinks.contains_link(from, to)
-        }
-    }
-
-    pub(crate) fn capacity_for(&self, t: usize) -> u64 {
-        (0..self.shards.len())
-            .map(|s| self.lock_shard(s).lanes[t].capacity())
-            .sum()
-    }
-
-    pub(crate) fn used_for(&self, t: usize) -> u64 {
-        (0..self.shards.len())
-            .map(|s| self.lock_shard(s).lanes[t].used())
-            .sum()
-    }
-
-    pub(crate) fn resident_count_for(&self, t: usize) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.lock_shard(s).lanes[t].resident_count())
-            .sum()
-    }
-
-    pub(crate) fn granularity_for(&self, t: usize) -> Granularity {
-        if self.shards.is_empty() {
-            return Granularity::Flush;
-        }
-        self.lock_shard(0).lanes[t].granularity()
-    }
-
-    pub(crate) fn stats_snapshot_for(&self, t: usize) -> CacheStats {
-        let mut stats = CacheStats::new();
-        for s in 0..self.shards.len() {
-            stats.merge(self.lock_shard(s).lanes[t].stats());
-        }
-        // Cross-shard links span eviction domains, so they are
-        // inter-unit by definition; the Eq. 4 charges join the per-lane
-        // unlink counters. High-water marks stay per-lane maxima.
-        let tstate = self.lock_tenant(t);
-        stats.links_created += tstate.extras.links_created;
-        stats.inter_unit_links_created += tstate.extras.links_created;
-        stats.unlink_operations += tstate.extras.unlink_operations;
-        stats.links_unlinked += tstate.extras.links_unlinked;
-        stats.links_dropped_free += tstate.extras.links_dropped_free;
-        stats
-    }
-
-    pub(crate) fn link_census_for(&self, t: usize) -> (u64, u64) {
-        let mut intra = 0;
-        let mut inter = 0;
-        for s in 0..self.shards.len() {
-            let (a, b) = self.lock_shard(s).lanes[t].link_census();
-            intra += a;
-            inter += b;
-        }
-        (intra, inter + self.lock_tenant(t).xlinks.link_count())
-    }
-
-    pub(crate) fn cross_link_count(&self, t: usize) -> u64 {
-        self.lock_tenant(t).xlinks.link_count()
     }
 
     fn decisions(&self) -> Vec<ArbiterDecision> {
         self.arbiter.as_ref().map_or_else(Vec::new, |a| {
-            a.lock()
+            a.state
+                .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .decisions
                 .clone()
@@ -593,31 +301,24 @@ impl ConcurrentCache {
     /// One Memshare review: refresh the decayed ghost windows from the
     /// per-tenant capacity-miss deltas, and move a slice of capacity
     /// from the least- to the most-constrained tenant when the benefit
-    /// gap clears the hysteresis bar. Takes the arbiter lock, then every
-    /// tenant lock (ascending), then shard locks (ascending, one at a
-    /// time) — the full hierarchy, so concurrent inserts simply wait.
-    fn review(&self, epoch: u64) {
-        let Some(arb) = &self.arbiter else { return };
-        let mut ast = arb.lock().unwrap_or_else(PoisonError::into_inner);
+    /// gap clears the hysteresis bar. The only function that holds more
+    /// than one lock: the arbiter lock, then every tenant lock in
+    /// ascending index, so concurrent serving calls simply wait.
+    fn review(&self, arbiter: &Arbiter, epoch: u64) {
+        let mut ast = arbiter.state.lock().unwrap_or_else(PoisonError::into_inner);
         if epoch <= ast.reviews {
             return; // a racing thread already covered this epoch
         }
-        let mut tenants: Vec<MutexGuard<'_, TenantState>> = self
+        let mut tenants: Vec<MutexGuard<'_, Tenant>> = self
             .tenants
             .iter()
             .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
             .collect();
         let ntenants = tenants.len();
-        let mut cap_misses = vec![0u64; ntenants];
-        for s in 0..self.shards.len() {
-            let slot = self.lock_shard(s);
-            for (misses, lane) in cap_misses.iter_mut().zip(&slot.lanes) {
-                *misses += lane.stats().capacity_misses;
-            }
-        }
         ast.reviews = epoch;
         let config = ast.config;
-        for (t, &misses) in cap_misses.iter().enumerate() {
+        for (t, tenant) in tenants.iter().enumerate() {
+            let misses = tenant.cache.capacity_misses();
             let fresh = misses.saturating_sub(ast.last_capacity_misses[t]);
             ast.last_capacity_misses[t] = misses;
             ast.ghosts[t] = ast.ghosts[t] * config.decay + fresh as f64;
@@ -643,14 +344,14 @@ impl ConcurrentCache {
         // Build every replacement organization up front, so a factory
         // failure (e.g. a slice rounding to zero bytes) aborts the
         // decision with no state mutated.
-        let Some(donor_orgs) = self.build_orgs(&tenants[donor], donor_cap) else {
+        let Some(donor_orgs) = tenants[donor].build_orgs(donor_cap) else {
             return;
         };
-        let Some(recipient_orgs) = self.build_orgs(&tenants[recipient], recipient_cap) else {
+        let Some(recipient_orgs) = tenants[recipient].build_orgs(recipient_cap) else {
             return;
         };
-        let (rd, dd) = self.rebuild_lanes(&mut tenants[donor], donor, donor_orgs);
-        let (rr, dr) = self.rebuild_lanes(&mut tenants[recipient], recipient, recipient_orgs);
+        let (rd, dd) = tenants[donor].cache.replace_orgs(donor_orgs);
+        let (rr, dr) = tenants[recipient].cache.replace_orgs(recipient_orgs);
         ast.budgets[donor] = donor_cap;
         ast.budgets[recipient] = recipient_cap;
         let capacities = ast.budgets.clone();
@@ -663,55 +364,6 @@ impl ConcurrentCache {
             blocks_reinserted: rd + rr,
             blocks_dropped: dd + dr,
         });
-    }
-
-    /// Builds one replacement organization per shard at the tenant's new
-    /// total, or `None` when the tenant is not resizable or a slice is
-    /// rejected by the factory.
-    fn build_orgs(&self, state: &TenantState, total: u64) -> Option<Vec<Box<dyn CacheOrg>>> {
-        let factory = state.factory.as_ref()?;
-        let mut orgs = Vec::with_capacity(self.shards.len());
-        for c in shard_capacities(total, self.shards.len() as u32) {
-            orgs.push(factory(c).ok()?);
-        }
-        Some(orgs)
-    }
-
-    /// Re-sizes one tenant's lanes to the pre-built organizations:
-    /// flush (severing the lane's cross-shard links at honest Eq. 4
-    /// cost), [`CodeCache::replace_org`] (statistics and the `seen` set
-    /// survive), then re-insert the survivors in deterministic order.
-    /// Returns `(blocks_reinserted, blocks_dropped)`.
-    fn rebuild_lanes(
-        &self,
-        state: &mut TenantState,
-        t: usize,
-        orgs: Vec<Box<dyn CacheOrg>>,
-    ) -> (u64, u64) {
-        let TenantState { xlinks, extras, .. } = state;
-        let mut reinserted = 0u64;
-        let mut dropped = 0u64;
-        let mut discard = NullSink;
-        for (s, org) in orgs.into_iter().enumerate() {
-            let mut slot = self.lock_shard(s);
-            let lane = &mut slot.lanes[t];
-            let survivors = lane.org().resident_entries();
-            let mut wrapper = CrossShardSink::new(&mut discard, &mut *xlinks);
-            lane.flush(&mut wrapper);
-            extras.unlink_operations += u64::from(wrapper.unlink_operations);
-            extras.links_unlinked += wrapper.links_unlinked;
-            extras.links_dropped_free += wrapper.links_dropped_free;
-            lane.replace_org(org);
-            for (id, size) in survivors {
-                // Re-inserted blocks carry no links yet, so a bare sink
-                // is exact; a block that no longer fits is dropped.
-                match lane.insert_request(InsertRequest::new(id, size), &mut NullSink) {
-                    Ok(_) => reinserted += 1,
-                    Err(_) => dropped += 1,
-                }
-            }
-        }
-        (reinserted, dropped)
     }
 }
 
@@ -736,9 +388,9 @@ pub struct ConcurrentSession {
 impl ConcurrentSession {
     /// Builds the shared cache: every tenant's budget is split over
     /// `shard_count` shards with [`shard_capacities`] and routed by the
-    /// same jump hash as a solo [`crate::shard::ShardedCache`], which is
-    /// what makes per-tenant streams solo-identical. Pass an
-    /// [`ArbiterConfig`] to enable Memshare-style re-partitioning.
+    /// same jump hash as a solo [`ShardedCache`], which is what makes
+    /// per-tenant streams solo-identical. Pass an [`ArbiterConfig`] to
+    /// enable Memshare-style re-partitioning.
     ///
     /// # Errors
     ///
@@ -758,13 +410,13 @@ impl ConcurrentSession {
     /// Number of tenants.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
-        self.inner.tenant_count()
+        self.inner.tenants.len()
     }
 
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
+        self.inner.shard_count
     }
 
     /// A per-tenant [`CacheSession`] handle sharing this cache; give
@@ -804,8 +456,13 @@ impl ConcurrentSession {
         req: InsertRequest,
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError> {
-        self.inner
-            .access_or_insert_for(tenant.0 as usize, req, sink)
+        let outcome = self
+            .inner
+            .lock_tenant(tenant)
+            .cache
+            .access_or_insert(req, sink);
+        self.inner.note_access();
+        outcome
     }
 
     /// Looks up `id` for `tenant` without inserting.
@@ -814,7 +471,9 @@ impl ConcurrentSession {
     ///
     /// Panics if `tenant` is out of range.
     pub fn access(&self, tenant: TenantId, id: SuperblockId) -> AccessResult {
-        self.inner.access_for(tenant.0 as usize, id)
+        let result = self.inner.lock_tenant(tenant).cache.access(id);
+        self.inner.note_access();
+        result
     }
 
     /// Chains `from → to` in `tenant`'s link graphs.
@@ -833,7 +492,7 @@ impl ConcurrentSession {
         from: SuperblockId,
         to: SuperblockId,
     ) -> Result<bool, CacheError> {
-        self.inner.link_for(tenant.0 as usize, from, to)
+        self.inner.lock_tenant(tenant).cache.link(from, to)
     }
 
     /// Flushes every lane of `tenant`, in shard-index order.
@@ -842,7 +501,7 @@ impl ConcurrentSession {
     ///
     /// Panics if `tenant` is out of range.
     pub fn flush(&self, tenant: TenantId, sink: &mut dyn EventSink) -> Option<InsertSummary> {
-        self.inner.flush_for(tenant.0 as usize, sink)
+        self.inner.lock_tenant(tenant).cache.flush(sink)
     }
 
     /// `tenant`'s aggregated statistics (its lanes plus its cross-shard
@@ -854,7 +513,7 @@ impl ConcurrentSession {
     /// Panics if `tenant` is out of range.
     #[must_use]
     pub fn tenant_stats(&self, tenant: TenantId) -> CacheStats {
-        self.inner.stats_snapshot_for(tenant.0 as usize)
+        self.inner.lock_tenant(tenant).cache.stats_snapshot()
     }
 
     /// `tenant`'s current total capacity (moves when the arbiter
@@ -865,7 +524,7 @@ impl ConcurrentSession {
     /// Panics if `tenant` is out of range.
     #[must_use]
     pub fn tenant_capacity(&self, tenant: TenantId) -> u64 {
-        self.inner.capacity_for(tenant.0 as usize)
+        self.inner.lock_tenant(tenant).cache.capacity()
     }
 
     /// Every re-partition the arbiter has made so far, in decision
@@ -878,7 +537,8 @@ impl ConcurrentSession {
 
 /// One tenant's [`CacheSession`] view of a shared [`ConcurrentSession`]:
 /// the handle `cce_sim` drives per tenant, indistinguishable from that
-/// tenant's solo sharded cache.
+/// tenant's solo sharded cache. Every call takes the tenant's lock once
+/// and delegates to its [`ShardedCache`].
 #[derive(Debug, Clone)]
 pub struct TenantSession {
     session: ConcurrentSession,
@@ -897,11 +557,15 @@ impl TenantSession {
     pub fn session(&self) -> &ConcurrentSession {
         &self.session
     }
+
+    fn lock(&self) -> MutexGuard<'_, Tenant> {
+        self.session.inner.lock_tenant(self.tenant)
+    }
 }
 
 impl CacheSession for TenantSession {
     fn access(&mut self, id: SuperblockId) -> AccessResult {
-        self.session.inner.access_for(self.tenant.0 as usize, id)
+        self.session.access(self.tenant, id)
     }
 
     fn access_or_insert(
@@ -909,66 +573,55 @@ impl CacheSession for TenantSession {
         req: InsertRequest,
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError> {
-        self.session
-            .inner
-            .access_or_insert_for(self.tenant.0 as usize, req, sink)
+        self.session.insert_request(self.tenant, req, sink)
     }
 
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
-        self.session
-            .inner
-            .link_for(self.tenant.0 as usize, from, to)
+        self.session.link(self.tenant, from, to)
     }
 
     fn flush(&mut self, sink: &mut dyn EventSink) -> Option<InsertSummary> {
-        self.session.inner.flush_for(self.tenant.0 as usize, sink)
+        self.session.flush(self.tenant, sink)
     }
 
     fn is_resident(&self, id: SuperblockId) -> bool {
-        self.session
-            .inner
-            .is_resident_for(self.tenant.0 as usize, id)
+        self.lock().cache.is_resident(id)
     }
 
     fn contains_link(&self, from: SuperblockId, to: SuperblockId) -> bool {
-        self.session
-            .inner
-            .contains_link_for(self.tenant.0 as usize, from, to)
+        self.lock().cache.contains_link(from, to)
     }
 
     fn capacity(&self) -> u64 {
-        self.session.inner.capacity_for(self.tenant.0 as usize)
+        self.lock().cache.capacity()
     }
 
     fn used(&self) -> u64 {
-        self.session.inner.used_for(self.tenant.0 as usize)
+        self.lock().cache.used()
     }
 
     fn resident_count(&self) -> usize {
-        self.session
-            .inner
-            .resident_count_for(self.tenant.0 as usize)
+        self.lock().cache.resident_count()
     }
 
     fn granularity(&self) -> Granularity {
-        self.session.inner.granularity_for(self.tenant.0 as usize)
+        self.lock().cache.granularity()
     }
 
     fn stats_snapshot(&self) -> CacheStats {
-        self.session
-            .inner
-            .stats_snapshot_for(self.tenant.0 as usize)
+        self.lock().cache.stats_snapshot()
     }
 
     fn link_census(&self) -> (u64, u64) {
-        self.session.inner.link_census_for(self.tenant.0 as usize)
+        self.lock().cache.link_census()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedCache;
+    use crate::events::NullSink;
+    use crate::shard::jump_hash;
     use crate::testutil::assert_sessions_equivalent;
 
     fn sb(n: u64) -> SuperblockId {

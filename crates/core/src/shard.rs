@@ -19,23 +19,25 @@
 //! victim with *only* cross-shard fan-in pays a standalone unlink
 //! operation. Links whose *source* is evicted die with it, for free.
 //!
-//! Since the concurrency refactor the type is a thin single-tenant
-//! wrapper over [`crate::concurrent`]'s shared cache: the same per-shard
-//! locks, routing and cross-shard accounting that serve N tenants serve
-//! this one tenant, so the sharded and concurrent paths cannot drift
-//! apart. The type implements [`CacheSession`], so `cce_sim::simulator`
-//! and `cce_dbt::engine` drive a sharded cache and a bare [`CodeCache`]
-//! through the same trait. With N=1 the wrapper is a strict pass-through
-//! and the event stream is byte-identical to a bare cache (enforced by
+//! The type is plain single-threaded state — one [`CodeCache`] lane per
+//! shard, the cross-shard link graph and its bookkeeping, `&mut self`
+//! methods, no locks. [`crate::concurrent`] serves many tenants by
+//! giving each its own `ShardedCache` behind one tenant lock, so the
+//! sharded and concurrent paths run the same routing and cross-shard
+//! arithmetic and cannot drift apart. The type implements
+//! [`CacheSession`], so `cce_sim::simulator` and `cce_dbt::engine` drive
+//! a sharded cache and a bare [`CodeCache`] through the same trait. With
+//! N=1 every request passes straight through to the one lane and the
+//! event stream is byte-identical to a bare cache (enforced by
 //! [`crate::testutil::assert_sessions_equivalent`] and the conformance
 //! suite in `tests/shard_conformance.rs`).
 
 use crate::cache::{AccessResult, CodeCache, InsertSummary};
-use crate::concurrent::ConcurrentCache;
 use crate::error::CacheError;
-use crate::events::{CacheEvent, EventSink};
+use crate::events::{CacheEvent, EventSink, NullSink};
 use crate::ids::{Granularity, SuperblockId};
 use crate::links::LinkGraph;
+use crate::org::CacheOrg;
 use crate::session::{AccessOutcome, CacheSession, InsertRequest};
 use crate::stats::CacheStats;
 
@@ -73,13 +75,22 @@ pub fn shard_capacities(total_capacity: u64, shard_count: u32) -> Vec<u64> {
 
 /// Cross-shard bookkeeping the per-shard statistics cannot see: the
 /// shard-aware link graph's contribution to link creation and Eq. 4
-/// eviction charges. Folded into stats snapshots per tenant.
+/// eviction charges. Folded into stats snapshots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct CrossShardExtras {
-    pub(crate) links_created: u64,
-    pub(crate) unlink_operations: u64,
-    pub(crate) links_unlinked: u64,
-    pub(crate) links_dropped_free: u64,
+struct CrossShardExtras {
+    links_created: u64,
+    unlink_operations: u64,
+    links_unlinked: u64,
+    links_dropped_free: u64,
+}
+
+impl CrossShardExtras {
+    /// Adds the charges one wrapped lane operation accumulated.
+    fn absorb(&mut self, wrapper: &CrossShardSink<'_>) {
+        self.unlink_operations += u64::from(wrapper.unlink_operations);
+        self.links_unlinked += wrapper.links_unlinked;
+        self.links_dropped_free += wrapper.links_dropped_free;
+    }
 }
 
 /// Rewrites one shard's settled event stream with cross-shard link
@@ -90,12 +101,12 @@ pub(crate) struct CrossShardExtras {
 /// are Eq. 4 charges — merged into the shard's own `Unlinked` event when
 /// one follows, or emitted standalone (one extra unlink operation)
 /// otherwise. Cross-shard *outgoing* links die with the victim, free.
-pub(crate) struct CrossShardSink<'a> {
+struct CrossShardSink<'a> {
     inner: &'a mut dyn EventSink,
     xlinks: &'a mut LinkGraph,
-    pub(crate) unlink_operations: u32,
-    pub(crate) links_unlinked: u64,
-    pub(crate) links_dropped_free: u64,
+    unlink_operations: u32,
+    links_unlinked: u64,
+    links_dropped_free: u64,
     /// Victim with cross-shard fan-in, awaiting a possible merge with
     /// the shard's own `Unlinked` event for the same block.
     pending: Option<(SuperblockId, u32)>,
@@ -104,10 +115,7 @@ pub(crate) struct CrossShardSink<'a> {
 }
 
 impl<'a> CrossShardSink<'a> {
-    pub(crate) fn new(
-        inner: &'a mut dyn EventSink,
-        xlinks: &'a mut LinkGraph,
-    ) -> CrossShardSink<'a> {
+    fn new(inner: &'a mut dyn EventSink, xlinks: &'a mut LinkGraph) -> CrossShardSink<'a> {
         CrossShardSink {
             inner,
             xlinks,
@@ -181,10 +189,15 @@ impl EventSink for CrossShardSink<'_> {
 
 /// N independent [`CodeCache`] shards behind one [`CacheSession`]
 /// surface, with consistent-hash routing and cross-shard link
-/// accounting: the single-tenant view of the concurrent serving core.
+/// accounting.
 #[derive(Debug)]
 pub struct ShardedCache {
-    inner: ConcurrentCache,
+    /// One private cache per shard; `lanes[s]` is the home of every id
+    /// with `shard_of(id) == s`. Never empty.
+    lanes: Vec<CodeCache>,
+    /// Live cross-shard (always-indirect) links.
+    xlinks: LinkGraph,
+    extras: CrossShardExtras,
 }
 
 impl ShardedCache {
@@ -195,8 +208,13 @@ impl ShardedCache {
     ///
     /// Returns [`CacheError::ZeroCapacity`] if `shards` is empty.
     pub fn new(shards: Vec<CodeCache>) -> Result<ShardedCache, CacheError> {
+        if shards.is_empty() {
+            return Err(CacheError::ZeroCapacity);
+        }
         Ok(ShardedCache {
-            inner: ConcurrentCache::from_shard_caches(shards)?,
+            lanes: shards,
+            xlinks: LinkGraph::new(),
+            extras: CrossShardExtras::default(),
         })
     }
 
@@ -216,9 +234,6 @@ impl ShardedCache {
         shard_count: u32,
     ) -> Result<ShardedCache, CacheError> {
         let capacities = shard_capacities(total_capacity, shard_count);
-        if capacities.is_empty() {
-            return Err(CacheError::ZeroCapacity);
-        }
         let mut shards = Vec::with_capacity(capacities.len());
         for capacity in capacities {
             shards.push(CodeCache::with_granularity(g, capacity)?);
@@ -230,31 +245,69 @@ impl ShardedCache {
     /// count, so routing is reproducible across runs and worker counts.
     #[must_use]
     pub fn shard_of(&self, id: SuperblockId) -> usize {
-        self.inner.shard_of(id)
+        jump_hash(id.0, self.lanes.len() as u32) as usize
     }
 
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.inner.shard_count()
+        self.lanes.len()
     }
 
-    /// Runs `f` against one shard's cache under its lock, for
-    /// inspection in tests and diagnostics.
-    pub fn with_shard<R>(&self, s: usize, f: impl FnOnce(&CodeCache) -> R) -> R {
-        self.inner.with_lane(s, 0, f)
+    /// One shard's cache, for inspection in tests and diagnostics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not below [`ShardedCache::shard_count`].
+    #[must_use]
+    pub fn shard(&self, s: usize) -> &CodeCache {
+        &self.lanes[s]
     }
 
     /// Number of live cross-shard (always-indirect) links.
     #[must_use]
     pub fn cross_link_count(&self) -> u64 {
-        self.inner.cross_link_count(0)
+        self.xlinks.link_count()
+    }
+
+    /// Capacity misses summed over the shards — the arbiter's ghost-hit
+    /// signal.
+    pub(crate) fn capacity_misses(&self) -> u64 {
+        self.lanes.iter().map(|l| l.stats().capacity_misses).sum()
+    }
+
+    /// Re-sizes every shard to the pre-built organization at its index:
+    /// flush (severing the shard's cross-shard links at honest Eq. 4
+    /// cost), [`CodeCache::replace_org`] (statistics and the `seen` set
+    /// survive), then re-insert the survivors in deterministic order.
+    /// Returns `(blocks_reinserted, blocks_dropped)`.
+    pub(crate) fn replace_orgs(&mut self, orgs: Vec<Box<dyn CacheOrg>>) -> (u64, u64) {
+        let mut reinserted = 0u64;
+        let mut dropped = 0u64;
+        let mut discard = NullSink;
+        for (lane, org) in self.lanes.iter_mut().zip(orgs) {
+            let survivors = lane.org().resident_entries();
+            let mut wrapper = CrossShardSink::new(&mut discard, &mut self.xlinks);
+            lane.flush(&mut wrapper);
+            self.extras.absorb(&wrapper);
+            lane.replace_org(org);
+            for (id, size) in survivors {
+                // Re-inserted blocks carry no links yet, so a bare sink
+                // is exact; a block that no longer fits is dropped.
+                match lane.insert_request(InsertRequest::new(id, size), &mut NullSink) {
+                    Ok(_) => reinserted += 1,
+                    Err(_) => dropped += 1,
+                }
+            }
+        }
+        (reinserted, dropped)
     }
 }
 
 impl CacheSession for ShardedCache {
     fn access(&mut self, id: SuperblockId) -> AccessResult {
-        self.inner.access_for(0, id)
+        let s = self.shard_of(id);
+        self.lanes[s].access(id)
     }
 
     fn access_or_insert(
@@ -262,54 +315,133 @@ impl CacheSession for ShardedCache {
         req: InsertRequest,
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError> {
-        self.inner.access_or_insert_for(0, req, sink)
+        let shards = self.lanes.len() as u32;
+        let s = jump_hash(req.id.0, shards) as usize;
+        let lane = &mut self.lanes[s];
+        let access = lane.access(req.id);
+        if access.is_hit() {
+            return Ok(AccessOutcome {
+                access,
+                inserted: None,
+            });
+        }
+        // A hint routed to a different shard cannot inform placement in
+        // this one; same-shard hints pass through untouched.
+        let hint = req.hint.filter(|h| jump_hash(h.0, shards) as usize == s);
+        let mut wrapper = CrossShardSink::new(sink, &mut self.xlinks);
+        let mut summary = lane.insert_request(
+            InsertRequest::new(req.id, req.size).with_hint(hint),
+            &mut wrapper,
+        )?;
+        summary.unlink_operations += wrapper.unlink_operations;
+        summary.links_unlinked += wrapper.links_unlinked;
+        self.extras.absorb(&wrapper);
+        Ok(AccessOutcome {
+            access,
+            inserted: Some(summary),
+        })
     }
 
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
-        self.inner.link_for(0, from, to)
+        let sf = self.shard_of(from);
+        let st = self.shard_of(to);
+        if sf == st {
+            return self.lanes[sf].link(from, to);
+        }
+        if !self.lanes[sf].is_resident(from) {
+            return Err(CacheError::NotResident(from));
+        }
+        if !self.lanes[st].is_resident(to) {
+            return Err(CacheError::NotResident(to));
+        }
+        let new = self.xlinks.add_link(from, to);
+        if new {
+            self.extras.links_created += 1;
+        }
+        Ok(new)
     }
 
     fn flush(&mut self, sink: &mut dyn EventSink) -> Option<InsertSummary> {
-        self.inner.flush_for(0, sink)
+        let mut total: Option<InsertSummary> = None;
+        // Shard-index order: each shard's flush settles its own links
+        // and, via the wrapper, the cross-shard links its victims touch.
+        for lane in &mut self.lanes {
+            let mut wrapper = CrossShardSink::new(&mut *sink, &mut self.xlinks);
+            if let Some(summary) = lane.flush(&mut wrapper) {
+                self.extras.absorb(&wrapper);
+                let tot = total.get_or_insert_with(InsertSummary::default);
+                tot.padding += summary.padding;
+                tot.evictions += summary.evictions;
+                tot.blocks_evicted += summary.blocks_evicted;
+                tot.bytes_evicted += summary.bytes_evicted;
+                tot.unlink_operations += summary.unlink_operations + wrapper.unlink_operations;
+                tot.links_unlinked += summary.links_unlinked + wrapper.links_unlinked;
+            }
+        }
+        total
     }
 
     fn is_resident(&self, id: SuperblockId) -> bool {
-        self.inner.is_resident_for(0, id)
+        self.lanes[self.shard_of(id)].is_resident(id)
     }
 
     fn contains_link(&self, from: SuperblockId, to: SuperblockId) -> bool {
-        self.inner.contains_link_for(0, from, to)
+        let sf = self.shard_of(from);
+        if sf == self.shard_of(to) {
+            self.lanes[sf].link_graph().contains_link(from, to)
+        } else {
+            self.xlinks.contains_link(from, to)
+        }
     }
 
     fn capacity(&self) -> u64 {
-        self.inner.capacity_for(0)
+        self.lanes.iter().map(CodeCache::capacity).sum()
     }
 
     fn used(&self) -> u64 {
-        self.inner.used_for(0)
+        self.lanes.iter().map(CodeCache::used).sum()
     }
 
     fn resident_count(&self) -> usize {
-        self.inner.resident_count_for(0)
+        self.lanes.iter().map(CodeCache::resident_count).sum()
     }
 
     fn granularity(&self) -> Granularity {
-        self.inner.granularity_for(0)
+        self.lanes[0].granularity()
     }
 
     fn stats_snapshot(&self) -> CacheStats {
-        self.inner.stats_snapshot_for(0)
+        let mut stats = CacheStats::new();
+        for lane in &self.lanes {
+            stats.merge(lane.stats());
+        }
+        // Cross-shard links span eviction domains, so they are
+        // inter-unit by definition; the Eq. 4 charges join the per-shard
+        // unlink counters. High-water marks stay per-shard maxima.
+        stats.links_created += self.extras.links_created;
+        stats.inter_unit_links_created += self.extras.links_created;
+        stats.unlink_operations += self.extras.unlink_operations;
+        stats.links_unlinked += self.extras.links_unlinked;
+        stats.links_dropped_free += self.extras.links_dropped_free;
+        stats
     }
 
     fn link_census(&self) -> (u64, u64) {
-        self.inner.link_census_for(0)
+        let mut intra = 0;
+        let mut inter = 0;
+        for lane in &self.lanes {
+            let (a, b) = lane.link_census();
+            intra += a;
+            inter += b;
+        }
+        (intra, inter + self.xlinks.link_count())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EventBuffer, NullSink};
+    use crate::events::EventBuffer;
 
     fn sb(n: u64) -> SuperblockId {
         SuperblockId(n)
@@ -346,7 +478,7 @@ mod tests {
                 .unwrap();
         }
         for i in 0..sharded.shard_count() {
-            let resident = sharded.with_shard(i, CodeCache::resident_count);
+            let resident = sharded.shard(i).resident_count();
             assert!(resident > 0, "shard {i} got nothing");
         }
         assert_eq!(sharded.resident_count(), 64);
@@ -382,7 +514,7 @@ mod tests {
     /// Sum of every shard's own (intra-shard) live link count.
     fn intra_link_count(sharded: &ShardedCache) -> u64 {
         (0..sharded.shard_count())
-            .map(|i| sharded.with_shard(i, |c| c.link_graph().link_count()))
+            .map(|i| sharded.shard(i).link_graph().link_count())
             .sum()
     }
 
@@ -524,8 +656,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ShardedCache>();
+    fn sharded_cache_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<ShardedCache>();
     }
 }

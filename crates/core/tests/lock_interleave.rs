@@ -1,22 +1,22 @@
 //! Interleaving stress for the `ConcurrentCache` lock paths.
 //!
-//! The lock-graph lint proves the hierarchy **arbiter → tenant
-//! (ascending) → shard (ascending)** is acyclic on every static call
-//! path (its model is cross-checked against this very file's subject
-//! in `crates/analyze/tests/golden.rs`,
-//! `lock_model_matches_the_real_concurrent_cache`). This test attacks
-//! the same property dynamically: the arbiter's review runs every
-//! [`REVIEW_PERIOD`] accesses — so the full three-class descent
+//! The concurrent layer's deadlock-freedom rule is ownership: a
+//! serving call takes exactly one tenant lock and releases it before
+//! counting the access, and only the arbiter's review holds more than
+//! one lock — **arbiter first, then every tenant in ascending index**
+//! (DESIGN.md §12). This test attacks that rule dynamically: the
+//! review runs every [`REVIEW_PERIOD`] accesses — so the full descent
 //! executes hundreds of times per run — while every thread hammers
-//! accesses, cross-shard links (driving `lock_shard_pair` through both
-//! of its branch orders) and flushes. A deadlock would show up as a
-//! watchdog timeout here rather than a hung CI job.
+//! accesses, cross-shard links and flushes, on its own tenant and (in
+//! the shared-handle case) on a tenant another thread is driving too.
+//! A deadlock would show up as a watchdog timeout here rather than a
+//! hung CI job.
 //!
 //! Workloads are seed-pinned xorshift streams, and the thread sweep is
 //! pinned with `CCE_TEST_THREADS=<T>` exactly as in
 //! `concurrent_conformance.rs` (CI runs 1 and 4).
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Barrier};
 use std::time::Duration;
 
 use cce_core::{
@@ -64,6 +64,20 @@ fn thread_counts() -> Vec<usize> {
 /// different shards: accesses with occasional hints, links between the
 /// last two touched blocks (both shard orders occur), periodic flushes.
 fn drive<S: CacheSession>(s: &mut S, seed: u64, buf: &mut EventBuffer) {
+    drive_with(s, seed, buf, |linked| {
+        linked.expect("both endpoints are resident");
+    });
+}
+
+/// [`drive`] with the link outcome handed to `on_link`: a handle shared
+/// between threads can lose an endpoint between the residency check and
+/// the link, which an exclusively owned one cannot.
+fn drive_with<S: CacheSession>(
+    s: &mut S,
+    seed: u64,
+    buf: &mut EventBuffer,
+    on_link: impl Fn(Result<bool, CacheError>),
+) {
     let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (seed.wrapping_mul(0x0100_0000_01b3) | 1);
     let mut last: Option<SuperblockId> = None;
     for step in 0..ACCESSES {
@@ -80,7 +94,7 @@ fn drive<S: CacheSession>(s: &mut S, seed: u64, buf: &mut EventBuffer) {
         if rng & 0x3 == 0 {
             if let Some(from) = last {
                 if from != id && s.is_resident(from) && s.is_resident(id) {
-                    s.link(from, id).expect("both endpoints are resident");
+                    on_link(s.link(from, id));
                 }
             }
         }
@@ -143,6 +157,69 @@ fn arbiter_reviews_interleave_with_serving_without_deadlock() {
                 .sum();
             assert_eq!(assigned, total, "final budgets sum to the initial total");
         }
+    }
+}
+
+#[test]
+fn two_threads_on_one_tenant_conserve_accesses_links_and_capacity() {
+    // Two threads drive clones of the *same* tenant handle while the
+    // arbiter keeps re-sizing that tenant against an idle one: the
+    // tenant lock alone must keep every access, link and byte accounted.
+    const THREADS: usize = 2;
+    for shards in [2u32, 4] {
+        let sess = session(2, shards);
+        let shared = sess.tenant(TenantId(0));
+        let start = Barrier::new(THREADS);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let mut tenant = shared.clone();
+                let tx = tx.clone();
+                let start = &start;
+                scope.spawn(move || {
+                    let mut buf = EventBuffer::new();
+                    start.wait();
+                    drive_with(
+                        &mut tenant,
+                        0x5AFE_0000 | t as u64,
+                        &mut buf,
+                        |linked| match linked {
+                            Ok(_) | Err(CacheError::NotResident(_)) => {}
+                            Err(e) => panic!("unexpected link error: {e}"),
+                        },
+                    );
+                    tx.send(t).expect("main thread is waiting");
+                });
+            }
+            for _ in 0..THREADS {
+                rx.recv_timeout(WATCHDOG).unwrap_or_else(|_| {
+                    panic!("watchdog: a thread sharing a tenant stalled ({shards} shards)")
+                });
+            }
+        });
+
+        let stats = sess.tenant_stats(TenantId(0));
+        assert_eq!(stats.accesses, THREADS as u64 * ACCESSES);
+        assert_eq!(stats.accesses, stats.hits + stats.misses);
+        let (intra, inter) = shared.link_census();
+        assert_eq!(
+            stats.links_created,
+            stats.links_unlinked + stats.links_dropped_free + intra + inter,
+            "every link is unlinked, dropped free or still live"
+        );
+        assert_eq!(sess.tenant_stats(TenantId(1)).accesses, 0);
+
+        let total = 2 * CAPACITY;
+        let decisions = sess.decisions();
+        assert!(
+            !decisions.is_empty(),
+            "the arbiter re-sized the shared tenant"
+        );
+        for d in decisions {
+            assert_eq!(d.capacities.iter().sum::<u64>(), total);
+        }
+        let assigned = sess.tenant_capacity(TenantId(0)) + sess.tenant_capacity(TenantId(1));
+        assert_eq!(assigned, total, "final budgets sum to the initial total");
     }
 }
 

@@ -659,7 +659,7 @@ mod sharded_engine_tests {
         assert_eq!(cache.shard_count(), 4);
         assert_eq!(
             (0..cache.shard_count())
-                .map(|i| cache.with_shard(i, cce_core::CodeCache::used))
+                .map(|i| cache.shard(i).used())
                 .sum::<u64>(),
             CacheSession::used(cache)
         );

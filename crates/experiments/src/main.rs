@@ -16,7 +16,6 @@
 #![deny(unsafe_code)]
 
 mod all;
-mod bench_concurrent;
 mod bench_grid;
 mod bench_io;
 mod chaining;
@@ -121,7 +120,6 @@ fn usage() -> &'static str {
      replay --log <path> [--pressure N] [--tenants N --threads T] | \
      convert --log <in> --out <out> [--format json|binary] | \
      bench_trace_io [--scale F] [--out PATH] | \
-     bench_concurrent [--scale F] [--out PATH] | \
      bench_grid [--scale F] [--smoke] [--out BENCH_grid.json] | \
      serve [--bench <name>] [--rps R] [--duration S] [--tenants N] [--threads T] \
      [--queue EVENTS] [--skew Z] [--seed N] [--smoke] [--out BENCH_serve.json]"
@@ -277,7 +275,6 @@ fn run(cmd: &str, opts: &Options) -> Result<String, String> {
         "replay" => return tools::replay(opts),
         "convert" => return tools::convert(opts),
         "bench_trace_io" => return bench_io::bench_trace_io(opts),
-        "bench_concurrent" => return bench_concurrent::bench_concurrent(opts),
         "bench_grid" => return bench_grid::bench_grid(opts),
         "serve" => return serve_cmd::serve(opts),
         "all" => all::all(opts),
@@ -301,12 +298,7 @@ fn main() -> ExitCode {
             // These tools write their own --out file in a non-text format.
             let skip_generic_write = matches!(
                 cmd.as_str(),
-                "trace"
-                    | "convert"
-                    | "bench_trace_io"
-                    | "bench_concurrent"
-                    | "bench_grid"
-                    | "serve"
+                "trace" | "convert" | "bench_trace_io" | "bench_grid" | "serve"
             );
             if let Some(path) = opts.out.as_ref().filter(|_| !skip_generic_write) {
                 if let Err(e) = std::fs::write(path, &output) {
