@@ -9,9 +9,6 @@
 //!    statistics and link census are byte-identical to that tenant
 //!    running alone single-threaded on its own sharded cache — for all
 //!    eight organizations, shard counts {1, 2, 4} and T ∈ {1, 2, 4}.
-//!
-//! Set `CCE_TEST_THREADS=<T>` to pin part 2 to a single thread count
-//! (CI runs the suite at both 1 and 4).
 
 use cce_core::testutil::assert_sessions_equivalent;
 use cce_core::{
@@ -110,16 +107,11 @@ fn drive<S: CacheSession>(session: &mut S, seed: u64, buf: &mut EventBuffer) {
     session.flush(buf);
 }
 
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("CCE_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CCE_TEST_THREADS must be an integer")],
-        Err(_) => vec![1, 2, 4],
-    }
-}
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 #[test]
 fn every_tenant_stream_matches_its_solo_run() {
-    for threads in thread_counts() {
+    for threads in THREAD_COUNTS {
         for kind in ORGS {
             for shards in SHARD_COUNTS {
                 let session = concurrent(kind, TENANTS, shards);

@@ -12,9 +12,8 @@
 //! A deadlock would show up as a watchdog timeout here rather than a
 //! hung CI job.
 //!
-//! Workloads are seed-pinned xorshift streams, and the thread sweep is
-//! pinned with `CCE_TEST_THREADS=<T>` exactly as in
-//! `concurrent_conformance.rs` (CI runs 1 and 4).
+//! Workloads are seed-pinned xorshift streams; every case runs at 1, 2
+//! and 4 threads.
 
 use std::sync::{mpsc, Barrier};
 use std::time::Duration;
@@ -53,12 +52,7 @@ fn session(tenants: usize, shards: u32) -> ConcurrentSession {
     ConcurrentSession::new(configs, shards, Some(arbiter())).expect("geometry is valid")
 }
 
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("CCE_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CCE_TEST_THREADS must be an integer")],
-        Err(_) => vec![1, 2, 4],
-    }
-}
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Seed-pinned workload over a wide id range so consecutive ids land on
 /// different shards: accesses with occasional hints, links between the
@@ -108,7 +102,7 @@ fn drive_with<S: CacheSession>(
 
 #[test]
 fn arbiter_reviews_interleave_with_serving_without_deadlock() {
-    for threads in thread_counts() {
+    for threads in THREAD_COUNTS {
         for shards in [2u32, 4] {
             let sess = session(threads, shards);
             let (tx, rx) = mpsc::channel();

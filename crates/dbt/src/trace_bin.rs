@@ -527,8 +527,19 @@ impl SharedTrace {
     ///
     /// # Errors
     ///
-    /// Propagates the reader's first decode error.
+    /// Propagates the reader's first decode error; a stream that ends
+    /// with a different event count than its header declared is
+    /// [`TraceLogError::Corrupt`].
     pub fn collect(mut reader: TraceReader) -> Result<SharedTrace, TraceLogError> {
+        SharedTrace::collect_from(&mut reader)
+    }
+
+    /// [`SharedTrace::collect`] for a borrowed reader.
+    ///
+    /// # Errors
+    ///
+    /// As [`SharedTrace::collect`].
+    pub fn collect_from(reader: &mut TraceReader) -> Result<SharedTrace, TraceLogError> {
         let mut chunks = Vec::new();
         let mut total = 0u64;
         while let Some(chunk) = reader.next_chunk() {

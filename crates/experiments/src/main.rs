@@ -6,9 +6,19 @@
 //! commands:
 //!   table1 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15
 //!   table2 sec5_3
-//!   ablation future_work stability shards   (beyond-the-paper studies)
+//!   ablation future_work stability multiprog analysis shards tenants
+//!              (beyond-the-paper studies)
 //!   all        run everything and (with --out) write an EXPERIMENTS.md
+//!
+//! tools:
+//!   trace      generate a catalog workload's trace (json or binary)
+//!   replay     replay a saved trace, solo or as concurrent tenants
+//!   convert    re-encode a saved trace between json and binary
+//!   serve      open-loop traffic through the concurrent serving loop
 //! ```
+//!
+//! Running with no command prints the full flag list. Speed numbers
+//! come from `bash benchmark/run.sh`, not from this binary.
 //!
 //! `--scale` shrinks every workload proportionally (default 1.0 =
 //! Table 1 superblock counts); `--seed` controls trace generation.
@@ -16,8 +26,6 @@
 #![deny(unsafe_code)]
 
 mod all;
-mod bench_grid;
-mod bench_io;
 mod chaining;
 mod extensions;
 mod fig9;
@@ -64,9 +72,6 @@ pub struct Options {
     pub queue: Option<usize>,
     /// Zipf popularity exponent for the `serve` benchmark.
     pub skew: Option<f64>,
-    /// Fail the `serve` run unless it applied work and shed nothing.
-    /// For `bench_grid`, fail unless the ladder speedup clears its gate.
-    pub smoke: bool,
     /// Sweep engine (`--engine naive|ladder`); `None` means the
     /// default, the single-pass ladder.
     pub engine: Option<String>,
@@ -104,7 +109,6 @@ impl Default for Options {
             duration: None,
             queue: None,
             skew: None,
-            smoke: false,
             engine: None,
             verbose: true,
         }
@@ -119,10 +123,8 @@ fn usage() -> &'static str {
      tools: trace --bench <name> --out <path> [--format json|binary] | \
      replay --log <path> [--pressure N] [--tenants N --threads T] | \
      convert --log <in> --out <out> [--format json|binary] | \
-     bench_trace_io [--scale F] [--out PATH] | \
-     bench_grid [--scale F] [--smoke] [--out BENCH_grid.json] | \
      serve [--bench <name>] [--rps R] [--duration S] [--tenants N] [--threads T] \
-     [--queue EVENTS] [--skew Z] [--seed N] [--smoke] [--out BENCH_serve.json]"
+     [--queue EVENTS] [--skew Z] [--seed N]"
 }
 
 fn parse_args(args: &[String]) -> Result<(String, Options), String> {
@@ -228,7 +230,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                 }
                 opts.skew = Some(z);
             }
-            "--smoke" => opts.smoke = true,
             "--engine" => {
                 i += 1;
                 let v = args.get(i).ok_or("--engine needs a value")?;
@@ -274,8 +275,6 @@ fn run(cmd: &str, opts: &Options) -> Result<String, String> {
         "trace" => return tools::trace(opts),
         "replay" => return tools::replay(opts),
         "convert" => return tools::convert(opts),
-        "bench_trace_io" => return bench_io::bench_trace_io(opts),
-        "bench_grid" => return bench_grid::bench_grid(opts),
         "serve" => return serve_cmd::serve(opts),
         "all" => all::all(opts),
         other => return Err(format!("unknown command: {other}\n{}", usage())),
@@ -296,10 +295,7 @@ fn main() -> ExitCode {
         Ok(output) => {
             println!("{output}");
             // These tools write their own --out file in a non-text format.
-            let skip_generic_write = matches!(
-                cmd.as_str(),
-                "trace" | "convert" | "bench_trace_io" | "bench_grid" | "serve"
-            );
+            let skip_generic_write = matches!(cmd.as_str(), "trace" | "convert");
             if let Some(path) = opts.out.as_ref().filter(|_| !skip_generic_write) {
                 if let Err(e) = std::fs::write(path, &output) {
                     eprintln!("failed to write {path}: {e}");

@@ -249,7 +249,7 @@ impl<'a> Replay<'a> {
             let shared = match input {
                 Input::Source(s) => materialize(s),
                 Input::Reader(r) => {
-                    collect_reader(r).map_err(|e| SimError::Ingest(e.to_string()))?
+                    SharedTrace::collect_from(r).map_err(|e| SimError::Ingest(e.to_string()))?
                 }
             };
             let cfg = ConcurrentSimConfig {
@@ -334,24 +334,6 @@ fn materialize(source: &dyn EventSource) -> SharedTrace {
         event_count: source.event_count(),
         chunks: source.event_chunks().map(|c| c.to_vec().into()).collect(),
     }
-}
-
-fn collect_reader(
-    reader: &mut TraceReader,
-) -> Result<SharedTrace, cce_dbt::trace_log::TraceLogError> {
-    let mut chunks = Vec::new();
-    let mut total = 0u64;
-    while let Some(chunk) = reader.next_chunk() {
-        let chunk = chunk?;
-        total += chunk.len() as u64;
-        chunks.push(chunk);
-    }
-    Ok(SharedTrace {
-        name: reader.name().to_owned(),
-        superblocks: reader.superblocks_shared(),
-        event_count: total,
-        chunks,
-    })
 }
 
 /// The outcome of a [`Replay::run`]: one [`SimResult`] per tenant (a

@@ -5,8 +5,7 @@
 //! paper's granularity spectrum, a capacity ladder and every pressure
 //! level, on catalog workloads and on randomized traces.
 //!
-//! The worker-count axis is pinned with `CCE_TEST_THREADS=<T>` exactly
-//! as in `concurrent_conformance.rs` (CI runs 1 and 4).
+//! Every case runs at 1, 2 and 4 workers.
 
 use cce_core::{CacheEvent, CodeCache, Granularity};
 use cce_dbt::{SuperblockInfo, TraceLog};
@@ -16,12 +15,7 @@ use cce_tinyvm::program::Pc;
 use cce_workloads::catalog;
 use std::sync::{Arc, Mutex};
 
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("CCE_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CCE_TEST_THREADS must be an integer")],
-        Err(_) => vec![1, 2, 4],
-    }
-}
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// The paper's granularity axis at conformance scale: FLUSH, three
 /// unit ladders and the fine-grained FIFO.
@@ -89,7 +83,7 @@ fn matrix_ladder_is_byte_identical_to_naive_across_the_catalog() {
     let gs = granularities();
     let ps = [2u32, 6, 10];
     let base = SimConfig::default();
-    for jobs in thread_counts() {
+    for jobs in THREAD_COUNTS {
         let naive = Replay::matrix(&traces)
             .granularities(&gs)
             .pressures(&ps)

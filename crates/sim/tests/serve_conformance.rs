@@ -5,8 +5,7 @@
 //! each tenant is owned by exactly one worker and frames arrive in
 //! stream order.
 //!
-//! The thread sweep is pinned with `CCE_TEST_THREADS=<T>` exactly as in
-//! `concurrent_conformance.rs` (CI runs 1 and 4).
+//! Every case runs at 1, 2 and 4 threads.
 
 use cce_dbt::stream::encode_chunk_payload;
 use cce_sim::serve::{offline_baseline, ServePlan};
@@ -30,12 +29,7 @@ fn cfg(threads: usize) -> ServeConfig {
     }
 }
 
-fn thread_counts() -> Vec<usize> {
-    match std::env::var("CCE_TEST_THREADS") {
-        Ok(v) => vec![v.parse().expect("CCE_TEST_THREADS must be an integer")],
-        Err(_) => vec![1, 2, 4],
-    }
-}
+const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn plan(cfg: &ServeConfig) -> ServePlan {
     let trace = catalog::by_name("gzip").unwrap().trace(0.05, 23);
@@ -68,7 +62,7 @@ fn single_threaded_serve_is_byte_identical_to_offline_replay() {
 
 #[test]
 fn serve_stats_match_offline_at_every_thread_count() {
-    for threads in thread_counts() {
+    for threads in THREAD_COUNTS {
         let cfg = cfg(threads);
         let plan = plan(&cfg);
         let report = run_serve(&plan, &cfg).unwrap();

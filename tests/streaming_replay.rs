@@ -9,7 +9,7 @@ use cce::core::{
     LruCache, PreemptiveFlush, UnitFifo,
 };
 use cce::dbt::trace_bin::{save_binary_chunked, TraceReader};
-use cce::dbt::{SharedTrace, TraceLog};
+use cce::dbt::{SharedTrace, StreamWriter, TraceLog};
 use cce::sim::pressure::capacity_for_pressure;
 use cce::sim::simulator::{SimConfig, SimError, SimResult};
 use cce::sim::{EventSource, Replay, ReplayReport};
@@ -210,6 +210,30 @@ fn shared_trace_replay_matches_in_memory() {
     assert_eq!(simulate(&shared, &cfg).unwrap(), expected);
     // Replaying the same shared chunks twice is free of interference.
     assert_eq!(simulate(&shared, &cfg).unwrap(), expected);
+}
+
+#[test]
+fn stream_shorter_or_longer_than_its_header_is_an_ingest_error() {
+    // The header's event count is a promise: solo and multi-tenant
+    // replay must both refuse a stream that delivers any other number.
+    let log = trace();
+    let cfg = config(&log);
+    let written = log.events.len() as u64;
+    for declared in [written - 1, written + 1] {
+        let mut w = StreamWriter::new(Vec::new(), &log.name, declared, &log.superblocks).unwrap();
+        for c in log.events.chunks(512) {
+            w.write_chunk(c).unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        for tenants in [1, 2] {
+            let mut rd = TraceReader::new(std::io::Cursor::new(bytes.clone())).unwrap();
+            let got = Replay::stream(&mut rd).config(&cfg).tenants(tenants).run();
+            assert!(
+                matches!(got, Err(SimError::Ingest(_))),
+                "declared {declared}, wrote {written}, {tenants} tenant(s): {got:?}"
+            );
+        }
+    }
 }
 
 #[test]
