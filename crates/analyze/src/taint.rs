@@ -11,8 +11,10 @@
 //! caught, neither of which the old lint could do.
 //!
 //! Sources:
-//! * iteration over default-`RandomState` `HashMap`/`HashSet`
-//!   (`.iter()`, `.keys()`, `.drain()`, …, and plain `for … in &map`);
+//! * iteration over default-`RandomState` `HashMap`/`HashSet` and over
+//!   `cce_core::idmap`'s `IdMap`/`IdSet` aliases, which draw a random
+//!   key per table (`.iter()`, `.keys()`, `.drain()`, …, and plain
+//!   `for … in &map`);
 //! * `Instant::now` / `SystemTime::now`-derived values;
 //! * `available_parallelism` (machine-dependent);
 //! * thread identity (`thread::current`, `ThreadId`) and unordered
@@ -50,6 +52,10 @@ const ITER_METHODS: &[&str] = &[
     "into_values",
     "retain",
 ];
+
+/// Type names whose iteration order is randomly keyed: the std hash
+/// containers and the `cce_core::idmap` aliases over them.
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "IdMap", "IdSet"];
 
 /// Unordered-receive methods on channels: which sender's message
 /// arrives first depends on scheduling.
@@ -292,7 +298,7 @@ fn sources_in_file(ws: &Workspace, file_idx: usize) -> Vec<Source> {
     out
 }
 
-/// Names bound to `HashMap`/`HashSet` in this file: `name: HashMap<…>`
+/// Names bound to a [`HASH_TYPES`] container in this file: `name: HashMap<…>`
 /// declarations (lets, fields, params) and `name = HashMap::new()`-style
 /// initializers. Collection is file-granular — a name hash-bound in one
 /// function taints the same name everywhere in the file — which errs on
@@ -300,7 +306,7 @@ fn sources_in_file(ws: &Workspace, file_idx: usize) -> Vec<Source> {
 fn hash_bound_names(tokens: &[Token]) -> Vec<String> {
     let mut names = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
+        if !(t.kind == TokKind::Ident && HASH_TYPES.contains(&t.text.as_str())) {
             continue;
         }
         // Walk back over a `std::collections::` path prefix, then over
@@ -456,6 +462,22 @@ pub fn emit(m: &HashMap<u64, u64>, sink: &mut dyn EventSink) {
         assert!(f[0].message.contains("1 call hop"));
         assert_eq!(f[0].trace.len(), 3, "sink, call, source: {:?}", f[0].trace);
         assert!(f[0].trace[0].label.contains("emit"));
+    }
+
+    #[test]
+    fn idmap_aliases_are_sources_like_the_std_hash_containers() {
+        let f = findings(
+            "
+use cce_core::idmap::{IdMap, IdSet};
+pub struct Table { rows: IdMap<u32>, gone: IdSet }
+pub fn emit(t: &Table, sink: &mut dyn EventSink) {
+    for (id, _) in t.rows.iter() { sink.insert(*id); }
+    for id in &t.gone { sink.insert(*id); }
+}
+",
+        );
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [5, 6], "{f:?}");
     }
 
     #[test]

@@ -68,6 +68,16 @@ fn nondet_taint_pair() {
 }
 
 #[test]
+fn nondet_taint_idmap_alias_pair() {
+    assert_pair(
+        "nondet-taint",
+        "nondet_idmap_violating.rs",
+        "nondet_idmap_clean.rs",
+        2,
+    );
+}
+
+#[test]
 fn cost_constant_pair() {
     assert_pair(
         "cost-constant",

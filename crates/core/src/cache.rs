@@ -28,13 +28,13 @@
 
 use crate::error::CacheError;
 use crate::events::{CacheEvent, CacheObserver, EventBuffer, EventSink};
+use crate::idmap::IdSet;
 use crate::ids::{Granularity, SuperblockId, UnitId};
 use crate::links::LinkGraph;
 use crate::org::unit_fifo::UnitFifo;
 use crate::org::{fine_fifo::FineFifo, CacheOrg};
 use crate::session::InsertRequest;
 use crate::stats::CacheStats;
-use std::collections::HashSet;
 use std::fmt;
 
 /// Outcome of a cache lookup.
@@ -191,12 +191,12 @@ pub struct CodeCache {
     org: Box<dyn CacheOrg>,
     links: LinkGraph,
     stats: CacheStats,
-    seen: HashSet<SuperblockId>,
+    seen: IdSet,
     /// Scratch buffer the organization streams into; reused so the hot
     /// path performs no allocation once warm.
     buf: EventBuffer,
     /// Scratch set of the current invocation's victims; reused likewise.
-    dying: HashSet<SuperblockId>,
+    dying: IdSet,
     /// Optional subscriber to the settled event stream.
     observer: Option<Box<dyn CacheObserver>>,
 }
@@ -233,9 +233,9 @@ impl CodeCache {
             org,
             links: LinkGraph::new(),
             stats: CacheStats::new(),
-            seen: HashSet::new(),
+            seen: IdSet::default(),
             buf: EventBuffer::new(),
-            dying: HashSet::new(),
+            dying: IdSet::default(),
             observer: None,
         }
     }
@@ -335,17 +335,18 @@ impl CodeCache {
     /// Returns [`CacheError::NotResident`] if either endpoint is not
     /// currently cached — a real DBT can only patch resident code.
     pub fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
-        if !self.org.contains(from) {
-            return Err(CacheError::NotResident(from));
-        }
-        if !self.org.contains(to) {
-            return Err(CacheError::NotResident(to));
-        }
+        // `unit_of` is `Some` exactly for resident blocks (checked by
+        // `testutil::conformance`), so one probe per endpoint is both
+        // the residency check and the unit lookup.
+        let from_unit = self
+            .org
+            .unit_of(from)
+            .ok_or(CacheError::NotResident(from))?;
+        let to_unit = self.org.unit_of(to).ok_or(CacheError::NotResident(to))?;
         let new = self.links.add_link(from, to);
         if new {
             self.stats.links_created += 1;
-            let same_unit = self.org.unit_of(from) == self.org.unit_of(to);
-            if !same_unit {
+            if from_unit != to_unit {
                 self.stats.inter_unit_links_created += 1;
             }
         }
@@ -518,7 +519,7 @@ impl CodeCache {
                             .incoming_iter(id)
                             .filter(|s| !self.dying.contains(s))
                             .count() as u32;
-                        self.links.remove_block_quiet(id);
+                        self.links.remove_block(id);
                         settle_emit!(self, sink, CacheEvent::Evicted { id, size });
                         if survivors > 0 {
                             self.stats.unlink_operations += 1;

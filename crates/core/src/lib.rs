@@ -54,6 +54,7 @@ pub mod cache;
 pub mod concurrent;
 pub mod error;
 pub mod events;
+pub mod idmap;
 pub mod ids;
 pub mod links;
 pub mod org;

@@ -14,35 +14,49 @@
 //! pointer, making the table ≈11.5% of the code cache; see
 //! [`LinkGraph::back_pointer_bytes`].
 
+use crate::idmap::IdMap;
 use crate::ids::SuperblockId;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Bytes per back-pointer-table entry (an 8-byte pointer plus an 8-byte
 /// list link, per the paper's footnote 2).
 pub const BYTES_PER_BACK_POINTER: u64 = 16;
 
-/// Links removed when a block leaves the graph.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RemovedLinks {
-    /// Blocks that linked *into* the removed block (excluding itself).
-    /// These are the potential dangling jumps that must be unpatched.
-    pub incoming: Vec<SuperblockId>,
-    /// Blocks the removed block linked *out* to (excluding itself). Their
-    /// back-pointer entries for the removed block were dropped.
-    pub outgoing: Vec<SuperblockId>,
-    /// Whether the block linked to itself (a loop).
-    pub had_self_link: bool,
+/// Block → its neighbours in one direction, unordered. A superblock has
+/// a handful of exits, so a row is searched by a linear scan.
+type Rows = IdMap<Vec<SuperblockId>>;
+
+/// Empties `id`'s row of `rows` and deletes the mirror entry each of its
+/// edges has in `mirror`. The row stays allocated for the block's next
+/// residency, so a warm cache re-links without touching the heap.
+/// Returns the edges removed; a self link (it sits in `id`'s row of both
+/// tables) counts only if `count_self`.
+fn detach(rows: &mut Rows, mirror: &mut Rows, id: SuperblockId, count_self: bool) -> u64 {
+    let mut removed = 0;
+    for other in rows.get_mut(&id).into_iter().flat_map(|row| row.drain(..)) {
+        if other == id {
+            removed += u64::from(count_self);
+            continue;
+        }
+        if let Some(row) = mirror.get_mut(&other) {
+            if let Some(at) = row.iter().position(|&x| x == id) {
+                row.swap_remove(at);
+            }
+        }
+        removed += 1;
+    }
+    removed
 }
 
-/// A directed graph of superblock links with a back-pointer table.
+/// A directed graph of superblock links with a back-pointer table, flat
+/// like the paper's: one hash probe reaches a block's row.
 ///
 /// The graph only ever contains *resident* blocks; [`crate::CodeCache`]
 /// removes a block's links at eviction time.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct LinkGraph {
-    out: BTreeMap<SuperblockId, BTreeSet<SuperblockId>>,
+    out: Rows,
     /// The back-pointer table.
-    incoming: BTreeMap<SuperblockId, BTreeSet<SuperblockId>>,
+    incoming: Rows,
     link_count: u64,
 }
 
@@ -56,18 +70,20 @@ impl LinkGraph {
     /// Records a link `from → to`. Returns `false` if the link already
     /// existed (patching an already-patched exit is a no-op).
     pub fn add_link(&mut self, from: SuperblockId, to: SuperblockId) -> bool {
-        let inserted = self.out.entry(from).or_default().insert(to);
-        if inserted {
-            self.incoming.entry(to).or_default().insert(from);
-            self.link_count += 1;
+        let row = self.out.entry(from).or_default();
+        if row.contains(&to) {
+            return false;
         }
-        inserted
+        row.push(to);
+        self.incoming.entry(to).or_default().push(from);
+        self.link_count += 1;
+        true
     }
 
     /// True if the link `from → to` is present.
     #[must_use]
     pub fn contains_link(&self, from: SuperblockId, to: SuperblockId) -> bool {
-        self.out.get(&from).is_some_and(|s| s.contains(&to))
+        self.out.get(&from).is_some_and(|row| row.contains(&to))
     }
 
     /// Number of links currently recorded.
@@ -79,119 +95,36 @@ impl LinkGraph {
     /// Number of links leaving `id`.
     #[must_use]
     pub fn out_degree(&self, id: SuperblockId) -> usize {
-        self.out.get(&id).map_or(0, BTreeSet::len)
+        self.out.get(&id).map_or(0, Vec::len)
     }
 
     /// Number of links entering `id` (back-pointer-table fan-in).
     #[must_use]
     pub fn in_degree(&self, id: SuperblockId) -> usize {
-        self.incoming.get(&id).map_or(0, BTreeSet::len)
+        self.incoming.get(&id).map_or(0, Vec::len)
     }
 
-    /// The blocks linking into `id`, in deterministic order.
-    #[must_use]
-    pub fn incoming(&self, id: SuperblockId) -> Vec<SuperblockId> {
-        self.incoming
-            .get(&id)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Allocation-free variant of [`LinkGraph::incoming`]: iterates the
-    /// blocks linking into `id` in deterministic order.
+    /// Iterates the blocks linking into `id`, in no particular order:
+    /// callers count or test membership, never emit the sequence.
     pub fn incoming_iter(&self, id: SuperblockId) -> impl Iterator<Item = SuperblockId> + '_ {
         self.incoming.get(&id).into_iter().flatten().copied()
     }
 
-    /// The blocks `id` links out to, in deterministic order.
-    #[must_use]
-    pub fn outgoing(&self, id: SuperblockId) -> Vec<SuperblockId> {
-        self.out
-            .get(&id)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Removes `id` and every link touching it.
-    pub fn remove_block(&mut self, id: SuperblockId) -> RemovedLinks {
-        let mut removed = RemovedLinks::default();
-        if let Some(targets) = self.out.remove(&id) {
-            for t in targets {
-                if t == id {
-                    removed.had_self_link = true;
-                    self.link_count -= 1;
-                    continue;
-                }
-                if let Some(back) = self.incoming.get_mut(&t) {
-                    back.remove(&id);
-                    if back.is_empty() {
-                        self.incoming.remove(&t);
-                    }
-                }
-                removed.outgoing.push(t);
-                self.link_count -= 1;
-            }
-        }
-        if let Some(sources) = self.incoming.remove(&id) {
-            for s in sources {
-                if s == id {
-                    // Self link already accounted for above.
-                    continue;
-                }
-                if let Some(fwd) = self.out.get_mut(&s) {
-                    fwd.remove(&id);
-                    if fwd.is_empty() {
-                        self.out.remove(&s);
-                    }
-                }
-                removed.incoming.push(s);
-                self.link_count -= 1;
-            }
-        }
-        removed
-    }
-
-    /// Allocation-free variant of [`LinkGraph::remove_block`]: removes
-    /// `id` and every link touching it without materializing the removed
-    /// edge lists. Callers that need the edges must inspect them (e.g.
-    /// via [`LinkGraph::incoming_iter`]) *before* removal.
-    pub fn remove_block_quiet(&mut self, id: SuperblockId) {
-        if let Some(targets) = self.out.remove(&id) {
-            for t in targets {
-                self.link_count -= 1;
-                if t == id {
-                    continue;
-                }
-                if let Some(back) = self.incoming.get_mut(&t) {
-                    back.remove(&id);
-                    if back.is_empty() {
-                        self.incoming.remove(&t);
-                    }
-                }
-            }
-        }
-        if let Some(sources) = self.incoming.remove(&id) {
-            for s in sources {
-                if s == id {
-                    // Self link already accounted for above.
-                    continue;
-                }
-                if let Some(fwd) = self.out.get_mut(&s) {
-                    fwd.remove(&id);
-                    if fwd.is_empty() {
-                        self.out.remove(&s);
-                    }
-                }
-                self.link_count -= 1;
-            }
-        }
+    /// Removes every link touching `id`, without allocating. Callers that
+    /// need the edges must inspect them (e.g. via
+    /// [`LinkGraph::incoming_iter`]) *before* removal.
+    pub fn remove_block(&mut self, id: SuperblockId) {
+        self.link_count -= detach(&mut self.out, &mut self.incoming, id, true);
+        self.link_count -= detach(&mut self.incoming, &mut self.out, id, false);
     }
 
     /// Drops every link at once (a full cache flush needs no back-pointer
     /// walks — this is the FLUSH policy's key advantage).
     pub fn clear(&mut self) {
-        self.out.clear();
-        self.incoming.clear();
+        // cce-analyze: allow(nondet-taint): every row is emptied, order-free
+        for row in self.out.values_mut().chain(self.incoming.values_mut()) {
+            row.clear();
+        }
         self.link_count = 0;
     }
 
@@ -202,12 +135,14 @@ impl LinkGraph {
         self.link_count * BYTES_PER_BACK_POINTER
     }
 
-    /// Iterates every live link as `(from, to)` pairs in deterministic
-    /// order.
+    /// Iterates every live link as `(from, to)` pairs, **unordered**: the
+    /// sequence differs from graph to graph and run to run. Count it or
+    /// sort it; never let it reach an event stream or rendered output.
     pub fn iter_links(&self) -> impl Iterator<Item = (SuperblockId, SuperblockId)> + '_ {
         self.out
+            // cce-analyze: allow(nondet-taint): consumers count (census) or sort (visualize)
             .iter()
-            .flat_map(|(&from, targets)| targets.iter().map(move |&to| (from, to)))
+            .flat_map(|(&from, row)| row.iter().map(move |&to| (from, to)))
     }
 }
 
@@ -229,24 +164,8 @@ mod tests {
         assert_eq!(g.link_count(), 1);
         assert_eq!(g.out_degree(sb(1)), 1);
         assert_eq!(g.in_degree(sb(2)), 1);
-        assert_eq!(g.incoming(sb(2)), vec![sb(1)]);
-        assert_eq!(g.outgoing(sb(1)), vec![sb(2)]);
-    }
-
-    #[test]
-    fn remove_block_reports_both_directions() {
-        let mut g = LinkGraph::new();
-        g.add_link(sb(1), sb(3));
-        g.add_link(sb(2), sb(3));
-        g.add_link(sb(3), sb(4));
-        let removed = g.remove_block(sb(3));
-        assert_eq!(removed.incoming, vec![sb(1), sb(2)]);
-        assert_eq!(removed.outgoing, vec![sb(4)]);
-        assert!(!removed.had_self_link);
-        assert_eq!(g.link_count(), 0);
-        // Survivors keep no stale edges.
-        assert_eq!(g.out_degree(sb(1)), 0);
-        assert_eq!(g.in_degree(sb(4)), 0);
+        assert_eq!(g.incoming_iter(sb(2)).collect::<Vec<_>>(), vec![sb(1)]);
+        assert_eq!(g.iter_links().collect::<Vec<_>>(), vec![(sb(1), sb(2))]);
     }
 
     #[test]
@@ -254,11 +173,9 @@ mod tests {
         let mut g = LinkGraph::new();
         g.add_link(sb(7), sb(7));
         assert_eq!(g.link_count(), 1);
-        let removed = g.remove_block(sb(7));
-        assert!(removed.had_self_link);
-        assert!(removed.incoming.is_empty());
-        assert!(removed.outgoing.is_empty());
+        g.remove_block(sb(7));
         assert_eq!(g.link_count(), 0);
+        assert_eq!((g.in_degree(sb(7)), g.out_degree(sb(7))), (0, 0));
     }
 
     #[test]
@@ -271,6 +188,7 @@ mod tests {
         g.clear();
         assert_eq!(g.link_count(), 0);
         assert_eq!(g.back_pointer_bytes(), 0);
+        assert_eq!(g.iter_links().count(), 0);
     }
 
     #[test]
@@ -282,27 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn quiet_removal_matches_reporting_removal() {
-        let mut loud = LinkGraph::new();
-        let mut quiet = LinkGraph::new();
-        for i in 0..20u64 {
-            loud.add_link(sb(i), sb((i + 1) % 20));
-            loud.add_link(sb(i), sb((i + 7) % 20));
-            quiet.add_link(sb(i), sb((i + 1) % 20));
-            quiet.add_link(sb(i), sb((i + 7) % 20));
-        }
-        loud.add_link(sb(5), sb(5));
-        quiet.add_link(sb(5), sb(5));
-        assert_eq!(
-            quiet.incoming_iter(sb(5)).collect::<Vec<_>>(),
-            loud.incoming(sb(5))
-        );
-        loud.remove_block(sb(5));
-        quiet.remove_block_quiet(sb(5));
-        assert_eq!(loud, quiet);
-    }
-
-    #[test]
     fn link_count_stays_consistent_under_churn() {
         let mut g = LinkGraph::new();
         for i in 0..20u64 {
@@ -310,10 +207,9 @@ mod tests {
             g.add_link(sb(i), sb((i + 7) % 20));
         }
         let before = g.link_count();
-        let removed = g.remove_block(sb(5));
-        let dropped = removed.incoming.len() as u64
-            + removed.outgoing.len() as u64
-            + u64::from(removed.had_self_link);
+        let dropped = (g.in_degree(sb(5)) + g.out_degree(sb(5))) as u64;
+        g.remove_block(sb(5));
         assert_eq!(g.link_count(), before - dropped);
+        assert_eq!(g.iter_links().count() as u64, g.link_count());
     }
 }

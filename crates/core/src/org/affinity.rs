@@ -22,9 +22,9 @@
 
 use crate::error::CacheError;
 use crate::events::{CacheEvent, EventSink, EvictionScope};
+use crate::idmap::IdMap;
 use crate::ids::{Granularity, SuperblockId, UnitId};
 use crate::org::CacheOrg;
-use std::collections::HashMap;
 
 #[derive(Debug, Default, Clone)]
 struct Unit {
@@ -41,7 +41,7 @@ struct Unit {
 pub struct AffinityUnits {
     unit_capacity: u64,
     units: Vec<Unit>,
-    resident: HashMap<SuperblockId, usize>,
+    resident: IdMap<usize>,
     used: u64,
     /// Default fill unit for hintless insertions.
     head: usize,
@@ -66,7 +66,7 @@ impl AffinityUnits {
         Ok(AffinityUnits {
             unit_capacity: capacity / u64::from(units),
             units: vec![Unit::default(); units as usize],
-            resident: HashMap::new(),
+            resident: IdMap::default(),
             used: 0,
             head: 0,
             flush_seq: 0,

@@ -13,9 +13,10 @@
 
 use crate::error::CacheError;
 use crate::events::{CacheEvent, EventSink, EvictionScope};
+use crate::idmap::IdMap;
 use crate::ids::{Granularity, SuperblockId, UnitId};
 use crate::org::CacheOrg;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Fine-grained FIFO (circular buffer) organization. See the module docs.
 #[derive(Debug, Clone)]
@@ -24,7 +25,7 @@ pub struct FineFifo {
     used: u64,
     /// Resident blocks, oldest first.
     queue: VecDeque<(SuperblockId, u32)>,
-    resident: HashMap<SuperblockId, u32>,
+    resident: IdMap<u32>,
 }
 
 impl FineFifo {
@@ -41,7 +42,7 @@ impl FineFifo {
             capacity,
             used: 0,
             queue: VecDeque::new(),
-            resident: HashMap::new(),
+            resident: IdMap::default(),
         })
     }
 

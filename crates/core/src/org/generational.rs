@@ -14,9 +14,10 @@
 
 use crate::error::CacheError;
 use crate::events::{CacheEvent, EventSink, EvictionScope};
+use crate::idmap::IdMap;
 use crate::ids::{Granularity, SuperblockId, UnitId};
 use crate::org::CacheOrg;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Which region a block lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +44,7 @@ pub struct Generational {
     /// FIFO order within each region.
     nursery_queue: VecDeque<SuperblockId>,
     tenured_queue: VecDeque<SuperblockId>,
-    resident: HashMap<SuperblockId, Entry>,
+    resident: IdMap<Entry>,
     /// Nursery hits required for promotion.
     promote_threshold: u32,
     promotions: u64,
@@ -101,7 +102,7 @@ impl Generational {
             tenured_used: 0,
             nursery_queue: VecDeque::new(),
             tenured_queue: VecDeque::new(),
-            resident: HashMap::new(),
+            resident: IdMap::default(),
             promote_threshold,
             promotions: 0,
         })

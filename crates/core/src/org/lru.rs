@@ -12,9 +12,10 @@
 
 use crate::error::CacheError;
 use crate::events::{CacheEvent, EventSink, EvictionScope};
+use crate::idmap::IdMap;
 use crate::ids::{Granularity, SuperblockId, UnitId};
 use crate::org::CacheOrg;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy)]
 struct Placement {
@@ -30,7 +31,7 @@ pub struct LruCache {
     capacity: u64,
     used: u64,
     clock: u64,
-    resident: HashMap<SuperblockId, Placement>,
+    resident: IdMap<Placement>,
     /// Recency index: stamp → block (stamps are unique).
     by_recency: BTreeMap<u64, SuperblockId>,
     /// Free holes: start address → length, kept coalesced.
@@ -54,7 +55,7 @@ impl LruCache {
             capacity,
             used: 0,
             clock: 0,
-            resident: HashMap::new(),
+            resident: IdMap::default(),
             by_recency: BTreeMap::new(),
             holes,
             fragmentation_stalls: 0,

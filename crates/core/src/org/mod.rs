@@ -120,7 +120,9 @@ pub trait CacheOrg: fmt::Debug + Send {
     /// True if `id` is resident.
     fn contains(&self, id: SuperblockId) -> bool;
 
-    /// The eviction unit currently holding `id`, if resident.
+    /// The eviction unit currently holding `id`: `Some` exactly when
+    /// [`CacheOrg::contains`] is true, because [`crate::CodeCache::link`]
+    /// uses this one probe as its residency check too.
     ///
     /// Two superblocks in the same unit die together on a flush; that is
     /// what makes their links *intra-unit* (removable for free).

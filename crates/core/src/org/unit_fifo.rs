@@ -13,9 +13,9 @@
 
 use crate::error::CacheError;
 use crate::events::{CacheEvent, EventSink, EvictionScope};
+use crate::idmap::IdMap;
 use crate::ids::{Granularity, SuperblockId, UnitId};
 use crate::org::CacheOrg;
-use std::collections::HashMap;
 
 #[derive(Debug, Default, Clone)]
 struct Unit {
@@ -33,7 +33,7 @@ pub struct UnitFifo {
     /// Unit currently being filled.
     head: usize,
     /// Superblock → index of the unit holding it.
-    resident: HashMap<SuperblockId, usize>,
+    resident: IdMap<usize>,
     used: u64,
     granularity: Granularity,
 }
@@ -63,7 +63,7 @@ impl UnitFifo {
             unit_capacity,
             units: vec![Unit::default(); units as usize],
             head: 0,
-            resident: HashMap::new(),
+            resident: IdMap::default(),
             used: 0,
             granularity,
         })

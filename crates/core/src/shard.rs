@@ -146,7 +146,7 @@ impl EventSink for CrossShardSink<'_> {
                 self.flush_pending();
                 let cross_in = self.xlinks.in_degree(id) as u32;
                 let cross_out = self.xlinks.out_degree(id) as u64;
-                self.xlinks.remove_block_quiet(id);
+                self.xlinks.remove_block(id);
                 self.invocation_dropped += cross_out;
                 if cross_in > 0 {
                     self.pending = Some((id, cross_in));

@@ -14,7 +14,8 @@
 //! The suite drives a generic overflow workload through both the event
 //! stream ([`CacheOrg::insert_events`]) and the legacy shim, asserting:
 //!
-//! * residency, usage and enumeration invariants after every insert;
+//! * residency, usage and enumeration invariants after every insert,
+//!   including `unit_of(id).is_some() == contains(id)` for every id;
 //! * rejection of duplicate / zero-sized / oversized insertions;
 //! * event-grammar invariants — every `EvictionBegin` is closed by an
 //!   `EvictionEnd`, invocations are never empty, the byte total carried
@@ -131,7 +132,16 @@ pub fn conformance(mut org: Box<dyn CacheOrg>) {
             }
         }
         assert!(org.contains(id));
-        assert!(org.unit_of(id).is_some());
+        // `unit_of` doubles as the residency probe in `CodeCache::link`,
+        // so it must answer `Some` for exactly the resident blocks —
+        // the insertee, the victims and a never-inserted id included.
+        for probe in (0..=next).map(SuperblockId) {
+            assert_eq!(
+                org.unit_of(probe).is_some(),
+                org.contains(probe),
+                "unit_of and contains disagree on {probe}"
+            );
+        }
         // Usage never exceeds capacity.
         assert!(org.used() <= cap, "used {} > capacity {cap}", org.used());
         assert_eq!(
@@ -187,6 +197,10 @@ pub fn conformance(mut org: Box<dyn CacheOrg>) {
     assert_eq!(flushed_bytes, used_before_flush);
     assert_eq!(org.used(), 0);
     assert_eq!(org.resident_count(), 0);
+    assert!(
+        (0..next).all(|i| org.unit_of(SuperblockId(i)).is_none()),
+        "a flushed block still has a unit"
+    );
     assert!(org.flush_all().is_none());
 }
 

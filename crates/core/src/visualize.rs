@@ -104,7 +104,10 @@ pub fn link_graph_dot(cache: &CodeCache) -> String {
             }
         }
     }
-    for (from, to) in cache.link_graph().iter_links() {
+    // `iter_links` is unordered; sorting keeps the output byte-stable.
+    let mut links: Vec<_> = cache.link_graph().iter_links().collect();
+    links.sort_unstable();
+    for (from, to) in links {
         let inter = from != to && cache.unit_of(from) != cache.unit_of(to);
         if inter {
             let _ = writeln!(out, "  \"{from}\" -> \"{to}\" [color=red, penwidth=2];");
@@ -168,6 +171,27 @@ mod tests {
             "inter link highlighted"
         );
         assert!(dot.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn dot_output_lists_links_in_sorted_order() {
+        let mut c = CodeCache::with_granularity(Granularity::Flush, 10_000).unwrap();
+        for i in 0..24 {
+            ins(&mut c, i, 100);
+        }
+        let edge = |i: u64| ((i * 7) % 24, (i * 5 + 1) % 24);
+        for (from, to) in (0..24).map(edge) {
+            c.link(SuperblockId(from), SuperblockId(to)).unwrap();
+        }
+        let dot = link_graph_dot(&c);
+        let edges: Vec<&str> = dot.lines().filter(|l| l.contains("->")).collect();
+        let mut sorted: Vec<(u64, u64)> = (0..24).map(edge).collect();
+        sorted.sort_unstable();
+        let want: Vec<String> = sorted
+            .iter()
+            .map(|(a, b)| format!("  \"sb{a}\" -> \"sb{b}\";"))
+            .collect();
+        assert_eq!(edges, want);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! that the paper's overhead models depend on (if these break, every
 //! figure downstream is garbage).
 
-use cce_core::{CodeCache, Granularity, InsertRequest, NullSink, SuperblockId};
+use cce_core::{CodeCache, Granularity, InsertRequest, LinkGraph, NullSink, SuperblockId};
 use cce_util::{Rng, StdRng};
+use std::collections::BTreeSet;
 
 /// A randomly generated workload step.
 #[derive(Debug, Clone)]
@@ -231,6 +232,74 @@ fn lru_org_upholds_identities_too() {
         s.links_created,
         s.links_unlinked + s.links_dropped_free + cache.link_graph().link_count()
     );
+}
+
+/// The flat [`LinkGraph`] against the obviously-correct model it
+/// replaced: an ordered set of `(from, to)` pairs. Ids come from a small
+/// universe so duplicates, self links and re-adds after a removal are
+/// frequent.
+#[test]
+fn link_graph_matches_an_ordered_pair_set_model() {
+    const IDS: u64 = 12;
+    for seed in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(0x11C5 + seed);
+        let mut graph = LinkGraph::new();
+        let mut model: BTreeSet<(SuperblockId, SuperblockId)> = BTreeSet::new();
+        for step in 0..600 {
+            match rng.gen_range(0..20u32) {
+                0 => {
+                    graph.clear();
+                    model.clear();
+                }
+                1..=4 => {
+                    let id = SuperblockId(rng.gen_range(0..IDS));
+                    graph.remove_block(id);
+                    model.retain(|&(from, to)| from != id && to != id);
+                }
+                _ => {
+                    let from = SuperblockId(rng.gen_range(0..IDS));
+                    // One add in six is a self link.
+                    let to = match rng.gen_range(0..6u32) {
+                        0 => from,
+                        _ => SuperblockId(rng.gen_range(0..IDS)),
+                    };
+                    assert_eq!(
+                        graph.add_link(from, to),
+                        model.insert((from, to)),
+                        "seed {seed} step {step}: add {from} -> {to}"
+                    );
+                }
+            }
+            let at = format!("seed {seed} step {step}");
+            assert_eq!(graph.link_count(), model.len() as u64, "{at}");
+            let mut links: Vec<_> = graph.iter_links().collect();
+            links.sort_unstable();
+            assert!(
+                links.iter().eq(model.iter()),
+                "{at}: {links:?} vs {model:?}"
+            );
+            for id in (0..IDS).map(SuperblockId) {
+                let sources: Vec<_> = model
+                    .iter()
+                    .filter(|&&(_, to)| to == id)
+                    .map(|&(from, _)| from)
+                    .collect();
+                let fan_out = model.iter().filter(|&&(from, _)| from == id).count();
+                assert_eq!(graph.in_degree(id), sources.len(), "{at}: in_degree({id})");
+                assert_eq!(graph.out_degree(id), fan_out, "{at}: out_degree({id})");
+                let mut incoming: Vec<_> = graph.incoming_iter(id).collect();
+                incoming.sort_unstable();
+                assert_eq!(incoming, sources, "{at}: incoming_iter({id})");
+                for other in (0..IDS).map(SuperblockId) {
+                    assert_eq!(
+                        graph.contains_link(id, other),
+                        model.contains(&(id, other)),
+                        "{at}: contains_link({id}, {other})"
+                    );
+                }
+            }
+        }
+    }
 }
 
 mod extension_orgs {

@@ -26,34 +26,10 @@
 
 use crate::overhead::OverheadModel;
 use crate::simulator::{EventSource, SimConfig, SimError, SimResult};
+use cce_core::idmap::IdMap;
 use cce_core::{CacheError, CacheEvent, CacheStats, Granularity, SuperblockId};
 use cce_dbt::TraceEvent;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative mixer for the id → dense-index map. The lookup sits
-/// on the per-event hot path, keys are trusted in-process superblock
-/// ids, and iteration order is never observed — so SipHash's DoS
-/// hardening buys nothing and its latency is pure overhead.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 ^= self.0 >> 32;
-    }
-}
-
-type IdMap<V> = HashMap<SuperblockId, V, BuildHasherDefault<IdHasher>>;
+use std::collections::VecDeque;
 
 /// Which simulation engine a [`crate::ReplayMatrix`] runs its grid on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -21,9 +21,9 @@
 //! bit-identical [`SimResult`]s at any chunk size.
 
 use crate::overhead::OverheadModel;
+use cce_core::idmap::IdMap;
 use cce_core::{CacheError, CacheSession, Granularity, InsertRequest, SuperblockId};
 use cce_dbt::{SharedTrace, SuperblockInfo, TraceEvent, TraceLog, TraceReader};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -322,7 +322,7 @@ pub struct SimDriver<S: CacheSession> {
     name: String,
     label: String,
     config: SimConfig,
-    sizes: HashMap<SuperblockId, u32>,
+    sizes: IdMap<u32>,
     event_count: u64,
     census_every: usize,
     event_idx: usize,
@@ -672,6 +672,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.stats.links_created, 0);
+    }
+
+    #[test]
+    fn insert_that_evicts_its_chain_source_forms_no_link() {
+        // Two 60-byte blocks ping-pong through a 100-byte cache: every
+        // access arrives by a direct transition from the other block,
+        // which is resident when the hint is taken and evicted by the
+        // insert itself — so there is never a resident pair to chain.
+        let trace = round_robin(2, 60, 4);
+        for g in [Granularity::Flush, Granularity::Superblock] {
+            let cfg = SimConfig {
+                granularity: g,
+                capacity: 100,
+                ..SimConfig::default()
+            };
+            let naive = simulate(&trace, &cfg).unwrap();
+            assert_eq!(naive.stats.misses, 8, "{g}");
+            assert_eq!(naive.stats.eviction_invocations, 7, "{g}");
+            assert_eq!(naive.stats.links_created, 0, "{g}");
+            assert_eq!(naive.unlink_overhead, 0.0, "{g}");
+            let cell = crate::ladder::LadderCell {
+                granularity: g,
+                capacity: 100,
+            };
+            let ladder = crate::ladder::simulate_ladder_source(&trace, &[cell], &cfg).unwrap();
+            assert_eq!(
+                ladder,
+                [naive],
+                "{g}: ladder must agree with the naive engine"
+            );
+        }
     }
 
     #[test]
