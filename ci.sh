@@ -18,8 +18,11 @@ cargo run -p cce-analyze -- --baseline analyze-baseline.json --budget-ms 5000
 cargo run -q -p cce-analyze -- --baseline analyze-baseline.json --format sarif > analyze.sarif || true
 head -c 400 analyze.sarif; echo
 # The benchmark crate builds against the workspace's public API and
-# checks each of its eight workloads against a reference computed over
-# a different path; an API break or a wrong output fails here. It also
-# carries the ladder-vs-naive gate (`grid_ladder`) and the serve
-# zero-shed gate (`serve_paced`).
+# checks each of its eight workloads against a reference; an API break
+# or a wrong output fails here. Every reference is computed over a
+# different path except `grid_sharded`'s, which runs the same ladder
+# path it checks: the ladder-vs-naive gate for sharded cells is
+# `ladder_conformance`'s sharded matrices in the test pass above. The
+# benchmark also carries the unsharded ladder-vs-naive gate
+# (`grid_ladder`) and the serve zero-shed gate (`serve_paced`).
 bash benchmark/run.sh --smoke

@@ -17,6 +17,13 @@
 //!   configuration *bits*; packing 64 configurations into `u64` masks
 //!   turns hit classification and link bookkeeping into mask ops that
 //!   touch only the configurations that actually miss.
+//! * A sharded rung ([`cce_core::ShardedCache`] geometry) is still one
+//!   bit lane. It holds one FIFO state per shard and routes each block
+//!   to its home shard by the same jump hash the sharded cache uses, so
+//!   a block lives in exactly one shard and the lane's residency bit
+//!   stays exact. Cross-shard links sit in the same shared pair table;
+//!   numbering units globally across the rung's shards makes "same
+//!   shard and same unit" the ordinary intra-unit test.
 //!
 //! Results are **byte-identical** to the per-cell oracle — same
 //! [`CacheStats`], same f64 overhead accumulation order, same settled
@@ -27,6 +34,7 @@
 use crate::overhead::OverheadModel;
 use crate::simulator::{EventSource, SimConfig, SimError, SimResult};
 use cce_core::idmap::IdMap;
+use cce_core::shard::{jump_hash, shard_capacities};
 use cce_core::{CacheError, CacheEvent, CacheStats, Granularity, SuperblockId};
 use cce_dbt::TraceEvent;
 use std::collections::VecDeque;
@@ -133,35 +141,96 @@ where
     T: EventSource + ?Sized,
     O: LadderObserver,
 {
-    if cells.is_empty() {
+    let mut rungs = Vec::with_capacity(cells.len());
+    for cell in cells {
+        let rung = Rung {
+            granularity: cell.granularity,
+            capacity: cell.capacity,
+            shards: 1,
+        };
+        // One shard: its effective capacity differs from the requested
+        // one exactly when the unit truncation would bite.
+        if rung.shard_geometry()?.first() != Some(&cell.capacity) {
+            return Err(SimError::Config(
+                "ladder capacity must be divisible by the granularity's unit count",
+            ));
+        }
+        rungs.push(rung);
+    }
+    simulate_rungs(source, &rungs, base, observer)
+}
+
+/// A rung as the engine runs it: a granularity at a *total* capacity
+/// split over `shards` consistent-hashed shards (1 = a bare cache).
+/// Unlike [`LadderCell`], the capacity is taken as
+/// [`cce_core::ShardedCache::with_granularity`] takes it: each shard
+/// truncates its slice to a unit multiple silently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Rung {
+    pub(crate) granularity: Granularity,
+    pub(crate) capacity: u64,
+    pub(crate) shards: u32,
+}
+
+impl Rung {
+    /// Effective per-shard capacities: [`shard_capacities`]' even split,
+    /// each truncated as [`cce_core::UnitFifo`] truncates it, rejected
+    /// with the errors [`cce_core::ShardedCache::with_granularity`]
+    /// returns for the same geometry.
+    fn shard_geometry(&self) -> Result<Vec<u64>, CacheError> {
+        let capacities = shard_capacities(self.capacity, self.shards);
+        if capacities.is_empty() {
+            return Err(CacheError::ZeroCapacity);
+        }
+        capacities
+            .into_iter()
+            .map(|capacity| match self.granularity.unit_count() {
+                _ if capacity == 0 => Err(CacheError::ZeroCapacity),
+                Some(units) if u64::from(units) > capacity => {
+                    Err(CacheError::TooManyUnits { units, capacity })
+                }
+                Some(units) => Ok(capacity / u64::from(units) * u64::from(units)),
+                None => Ok(capacity),
+            })
+            .collect()
+    }
+}
+
+/// [`simulate_ladder_observed`] over engine rungs, sharded or not: the
+/// entry point a sweep's fused work item runs.
+///
+/// # Errors
+///
+/// As [`simulate_ladder_source`], minus the divisibility check: shard
+/// slices are truncated, never rejected, as the sharded cache does.
+pub(crate) fn simulate_rungs<T, O>(
+    source: &T,
+    rungs: &[Rung],
+    base: &SimConfig,
+    observer: &mut O,
+) -> Result<Vec<SimResult>, SimError>
+where
+    T: EventSource + ?Sized,
+    O: LadderObserver,
+{
+    if rungs.is_empty() {
         return Err(SimError::Config("ladder needs at least one configuration"));
     }
-    for cell in cells {
-        if cell.capacity == 0 {
-            return Err(SimError::Cache(CacheError::ZeroCapacity));
-        }
-        if let Some(n) = cell.granularity.unit_count() {
-            let n = u64::from(n);
-            if n > cell.capacity {
-                return Err(SimError::Cache(CacheError::TooManyUnits {
-                    units: u32::try_from(n).unwrap_or(u32::MAX),
-                    capacity: cell.capacity,
-                }));
-            }
-            if cell.capacity % n != 0 {
-                return Err(SimError::Config(
-                    "ladder capacity must be divisible by the granularity's unit count",
-                ));
-            }
-        }
-    }
+    let geometry = rungs
+        .iter()
+        .map(Rung::shard_geometry)
+        .collect::<Result<Vec<_>, _>>()?;
     if source.event_count() == 0 {
         return Err(SimError::EmptyTrace);
     }
-    let mut results = Vec::with_capacity(cells.len());
-    for (batch_idx, batch) in cells.chunks(MAX_LADDER_BATCH).enumerate() {
+    let mut results = Vec::with_capacity(rungs.len());
+    for (batch_idx, (batch, shapes)) in rungs
+        .chunks(MAX_LADDER_BATCH)
+        .zip(geometry.chunks(MAX_LADDER_BATCH))
+        .enumerate()
+    {
         let cell_base = batch_idx * MAX_LADDER_BATCH;
-        results.extend(run_batch(source, batch, base, observer, cell_base)?);
+        results.extend(run_batch(source, batch, shapes, base, observer, cell_base)?);
     }
     Ok(results)
 }
@@ -203,7 +272,7 @@ struct LadderUnit {
     used: u64,
 }
 
-/// Organization-specific state of one ladder rung.
+/// Organization-specific state of one shard of a ladder rung.
 enum OrgState {
     /// Mirror of [`cce_core::UnitFifo`]: `n` equal units filled
     /// round-robin, the next unit flushed whole when the head fills.
@@ -211,30 +280,75 @@ enum OrgState {
         unit_capacity: u64,
         head: usize,
         units: Vec<LadderUnit>,
-        /// Unit index each superblock was inserted into (valid while
-        /// resident; drives the intra/inter link split).
-        unit_of: Vec<u32>,
+        /// Rung-wide number of this shard's unit 0: shard `s` of an
+        /// `n`-unit rung owns units `s·n .. (s+1)·n`.
+        first_unit: u32,
     },
     /// Mirror of [`cce_core::FineFifo`]: one insertion-order queue,
     /// oldest blocks popped until the newcomer fits.
-    Fine {
-        queue: VecDeque<u32>,
-        /// Victim buffer reused across invocations.
-        scratch: Vec<u32>,
-    },
+    Fine { capacity: u64, queue: VecDeque<u32> },
 }
 
-/// Full state of one ladder rung: its bit lane, geometry, organization
-/// and the per-cell accumulators a [`SimResult`] is assembled from.
-struct ConfigState {
-    bit: u64,
-    capacity: u64,
+/// One shard's FIFO state: the whole cache for an unsharded rung.
+struct ShardState {
     /// Largest insertable block (unit capacity for `Units`, whole
     /// capacity for fine FIFO) — beyond it the block is uncacheable.
     max_insert: u64,
     used: u64,
     resident_blocks: u64,
     org: OrgState,
+}
+
+impl ShardState {
+    /// Shard `s` of a rung with `unit_count` units per shard (`None`:
+    /// fine FIFO), at its effective `capacity`.
+    fn new(unit_count: Option<u32>, s: usize, capacity: u64) -> ShardState {
+        let (max_insert, org) = match unit_count {
+            Some(n) => {
+                let unit_capacity = capacity / u64::from(n);
+                let org = OrgState::Unit {
+                    unit_capacity,
+                    head: 0,
+                    units: (0..n).map(|_| LadderUnit::default()).collect(),
+                    first_unit: u32::try_from(s).unwrap_or(u32::MAX).saturating_mul(n),
+                };
+                (unit_capacity, org)
+            }
+            None => {
+                let queue = VecDeque::new();
+                (capacity, OrgState::Fine { capacity, queue })
+            }
+        };
+        ShardState {
+            max_insert,
+            used: 0,
+            resident_blocks: 0,
+            org,
+        }
+    }
+}
+
+/// Full state of one ladder rung: its bit lane, geometry, per-shard
+/// organizations and the per-cell accumulators a [`SimResult`] is
+/// assembled from.
+struct ConfigState {
+    bit: u64,
+    /// Sum of the shards' effective capacities.
+    capacity: u64,
+    /// Shard 0 — the whole cache of an unsharded rung — kept inline, so
+    /// an unsharded lane's miss touches no state outside its rung.
+    shard0: ShardState,
+    /// Shards 1.. of a sharded rung.
+    more_shards: Vec<ShardState>,
+    /// Index of the batch's home-shard table for this rung's shard
+    /// count; `None` for an unsharded rung (everything in shard 0).
+    home: Option<usize>,
+    /// Rung-wide unit number each superblock was inserted into (valid
+    /// while resident; drives the intra/inter link split). Empty for
+    /// fine FIFO, where every block is its own unit.
+    unit_of: Vec<u32>,
+    /// Fine FIFO victim buffer reused across invocations.
+    scratch: Vec<u32>,
     stats: CacheStats,
     miss_overhead: f64,
     eviction_overhead: f64,
@@ -250,35 +364,30 @@ struct ConfigState {
 }
 
 impl ConfigState {
-    fn new(lane: usize, cell: &LadderCell, blocks: usize) -> ConfigState {
-        let (org, max_insert) = match cell.granularity.unit_count() {
-            Some(n) => {
-                let unit_capacity = cell.capacity / u64::from(n);
-                (
-                    OrgState::Unit {
-                        unit_capacity,
-                        head: 0,
-                        units: (0..n).map(|_| LadderUnit::default()).collect(),
-                        unit_of: vec![0; blocks],
-                    },
-                    unit_capacity,
-                )
-            }
-            None => (
-                OrgState::Fine {
-                    queue: VecDeque::new(),
-                    scratch: Vec::new(),
-                },
-                cell.capacity,
-            ),
-        };
+    /// `capacities` are the rung's effective per-shard capacities
+    /// ([`Rung::shard_geometry`], never empty).
+    fn new(
+        lane: usize,
+        rung: &Rung,
+        capacities: &[u64],
+        home: Option<usize>,
+        blocks: usize,
+    ) -> ConfigState {
+        let unit_count = rung.granularity.unit_count();
         ConfigState {
             bit: 1u64 << lane,
-            capacity: cell.capacity,
-            max_insert,
-            used: 0,
-            resident_blocks: 0,
-            org,
+            capacity: capacities.iter().sum(),
+            shard0: ShardState::new(unit_count, 0, capacities[0]),
+            more_shards: (1..capacities.len())
+                .map(|s| ShardState::new(unit_count, s, capacities[s]))
+                .collect(),
+            home,
+            unit_of: if unit_count.is_some() {
+                vec![0; blocks]
+            } else {
+                Vec::new()
+            },
+            scratch: Vec::new(),
             stats: CacheStats::new(),
             miss_overhead: 0.0,
             eviction_overhead: 0.0,
@@ -288,28 +397,35 @@ impl ConfigState {
             live_inter: 0,
             census_intra: 0,
             census_inter: 0,
-            label: cell.granularity.label(),
+            label: rung.granularity.label(),
+        }
+    }
+
+    fn shard(&self, s: usize) -> &ShardState {
+        if s == 0 {
+            &self.shard0
+        } else {
+            &self.more_shards[s - 1]
         }
     }
 
     fn unit_of_slice(&self) -> Option<&[u32]> {
-        match &self.org {
-            OrgState::Unit { unit_of, .. } => Some(unit_of),
-            OrgState::Fine { .. } => None,
-        }
+        (!self.unit_of.is_empty()).then_some(&self.unit_of)
     }
 }
 
 /// Same unit-locality split [`cce_core::CodeCache`] applies: self-links
 /// are intra, fine FIFO puts every block in its own unit, unit FIFO
-/// compares unit indices.
+/// compares rung-wide unit numbers — so a link across shards, which
+/// [`cce_core::ShardedCache`] counts inter-unit, is never intra.
 fn pair_is_intra(from: u32, to: u32, unit_of: Option<&[u32]>) -> bool {
     from == to || unit_of.is_some_and(|u| u[from as usize] == u[to as usize])
 }
 
 fn run_batch<T, O>(
     source: &T,
-    cells: &[LadderCell],
+    rungs: &[Rung],
+    geometry: &[Vec<u64>],
     base: &SimConfig,
     obs: &mut O,
     cell_base: usize,
@@ -342,15 +458,27 @@ where
         dying_stamp: vec![0; blocks],
         stamp: 0,
     };
-    let mut configs: Vec<ConfigState> = cells
-        .iter()
-        .enumerate()
-        .map(|(lane, cell)| ConfigState::new(lane, cell, blocks))
-        .collect();
-    let full: u64 = if cells.len() == MAX_LADDER_BATCH {
+    // One home-shard table per distinct shard count in the batch, built
+    // with the sharded cache's own routing function.
+    let mut homes: Vec<(u32, Vec<u32>)> = Vec::new();
+    let mut configs: Vec<ConfigState> = Vec::with_capacity(rungs.len());
+    for (lane, (rung, capacities)) in rungs.iter().zip(geometry).enumerate() {
+        let home = (rung.shards > 1).then(|| {
+            homes
+                .iter()
+                .position(|(n, _)| *n == rung.shards)
+                .unwrap_or_else(|| {
+                    let table = sh.ids.iter().map(|id| jump_hash(id.0, rung.shards));
+                    homes.push((rung.shards, table.collect()));
+                    homes.len() - 1
+                })
+        });
+        configs.push(ConfigState::new(lane, rung, capacities, home, blocks));
+    }
+    let full: u64 = if rungs.len() == MAX_LADDER_BATCH {
         u64::MAX
     } else {
-        (1u64 << cells.len()) - 1
+        (1u64 << rungs.len()) - 1
     };
     let census_every = (usize::try_from(event_count).unwrap_or(usize::MAX) / 64).max(1);
     let model = base.overhead;
@@ -391,7 +519,8 @@ where
                 if size == 0 {
                     return Err(SimError::Cache(CacheError::ZeroSize(id)));
                 }
-                if u64::from(size) > cfg.max_insert {
+                let shard = cfg.home.map_or(0, |h| homes[h].1[b] as usize);
+                if u64::from(size) > cfg.shard(shard).max_insert {
                     // Uncacheable in this rung: the miss stands, the
                     // regeneration is charged, nothing is inserted
                     // (and first-touch is not recorded — every future
@@ -401,6 +530,7 @@ where
                 } else {
                     miss_insert(
                         cfg,
+                        shard,
                         &mut sh,
                         b,
                         size,
@@ -460,13 +590,15 @@ where
         .collect())
 }
 
-/// Insert superblock `b` into one rung after a miss, evicting exactly
-/// as that rung's organization would, and charge the three overhead
-/// models in the oracle's order (miss, eviction, unlink — the latter
-/// two at zero when nothing was evicted, preserving f64 identity).
+/// Insert superblock `b` into its home `shard` of one rung after a
+/// miss, evicting exactly as that shard's organization would, and
+/// charge the three overhead models in the oracle's order (miss,
+/// eviction, unlink — the latter two at zero when nothing was evicted,
+/// preserving f64 identity).
 #[allow(clippy::too_many_arguments)]
 fn miss_insert<O: LadderObserver>(
     cfg: &mut ConfigState,
+    shard: usize,
     sh: &mut Shared,
     b: usize,
     size: u32,
@@ -477,11 +609,11 @@ fn miss_insert<O: LadderObserver>(
 ) {
     let ConfigState {
         bit,
-        capacity,
-        org,
+        shard0,
+        more_shards,
+        unit_of,
+        scratch,
         stats,
-        used,
-        resident_blocks,
         live_intra,
         live_inter,
         miss_overhead,
@@ -489,6 +621,16 @@ fn miss_insert<O: LadderObserver>(
         unlink_overhead,
         ..
     } = cfg;
+    let ShardState {
+        used,
+        resident_blocks,
+        org,
+        ..
+    } = if shard == 0 {
+        shard0
+    } else {
+        &mut more_shards[shard - 1]
+    };
     let bit = *bit;
     let sz = u64::from(size);
     // (invocations, bytes evicted, unlink operations, links unlinked)
@@ -498,7 +640,7 @@ fn miss_insert<O: LadderObserver>(
             unit_capacity,
             head,
             units,
-            unit_of,
+            first_unit,
         } => {
             if units[*head].used + sz > *unit_capacity {
                 let padding = *unit_capacity - units[*head].used;
@@ -518,7 +660,7 @@ fn miss_insert<O: LadderObserver>(
                         sh,
                         &victims,
                         bit,
-                        Some(unit_of),
+                        Some(unit_of.as_slice()),
                         stats,
                         live_intra,
                         live_inter,
@@ -533,9 +675,9 @@ fn miss_insert<O: LadderObserver>(
             let h = *head;
             units[h].blocks.push(b as u32);
             units[h].used += sz;
-            unit_of[b] = u32::try_from(h).unwrap_or(u32::MAX);
+            unit_of[b] = first_unit.saturating_add(u32::try_from(h).unwrap_or(u32::MAX));
         }
-        OrgState::Fine { queue, scratch } => {
+        OrgState::Fine { capacity, queue } => {
             if *used + sz > *capacity {
                 let mut victims = std::mem::take(scratch);
                 while *used + sz > *capacity {
@@ -631,7 +773,9 @@ fn process_invocation<O: LadderObserver>(
         let v = victim as usize;
         // Incoming edges from a non-dying source are the ones the
         // oracle charges an explicit unlink for; everything else dies
-        // with the invocation for free.
+        // with the invocation for free. A cross-shard source never dies
+        // here (an invocation stays in its shard), so its link joins the
+        // victim's one `Unlinked`, as `ShardedCache`'s merge charges it.
         let mut survivors = 0u32;
         for &p in &in_pairs[v] {
             let pair = &mut pairs[p as usize];
@@ -875,6 +1019,133 @@ mod tests {
             simulate_ladder_source(&trace, &crowded, &SimConfig::default()).unwrap_err(),
             SimError::Cache(CacheError::TooManyUnits { .. })
         ));
+    }
+
+    /// Ids whose home at two shards is `shard`, by the sharded cache's
+    /// own routing.
+    fn homed(shard: u32) -> impl Iterator<Item = SuperblockId> {
+        (0u64..)
+            .filter(move |&k| jump_hash(k, 2) == shard)
+            .map(SuperblockId)
+    }
+
+    #[test]
+    fn two_shard_links_charge_like_the_sharded_cache() {
+        use cce_core::{CacheSession, EventBuffer, InsertRequest, ShardedCache};
+        let four = |shard| -> [SuperblockId; 4] {
+            homed(shard).take(4).collect::<Vec<_>>().try_into().unwrap()
+        };
+        let [b, c, f1, f2] = four(1);
+        let [a, g1, g2, g3] = four(0);
+        let mut trace = cce_dbt::TraceLog::new("two-shard");
+        for id in [a, b, c, f1, f2, g1, g2, g3] {
+            trace.record_superblock(cce_dbt::SuperblockInfo {
+                id,
+                head_pc: cce_tinyvm::program::Pc(id.0 * 0x40),
+                size: 60,
+                guest_blocks: 2,
+                exits: 2,
+            });
+        }
+        // 200 bytes per shard hold three blocks. c → b is intra-shard,
+        // a → b crosses shards; f2 evicts b while c and a survive. Then
+        // a → c crosses shards and g3 evicts a, the link's source.
+        for (id, from) in [
+            (b, None),
+            (c, None),
+            (b, Some(c)),
+            (a, None),
+            (b, Some(a)),
+            (f1, None),
+            (f2, None),
+            (c, Some(a)),
+            (g1, None),
+            (g2, None),
+            (g3, None),
+        ] {
+            trace.record_access(id, from);
+        }
+        let base = SimConfig::default();
+        let rung = Rung {
+            granularity: Granularity::Superblock,
+            capacity: 400,
+            shards: 2,
+        };
+        let mut stream = Vec::new();
+        let mut observer = |_: usize, ev: CacheEvent| {
+            if !matches!(ev, CacheEvent::Hit { .. } | CacheEvent::Miss { .. }) {
+                stream.push(ev);
+            }
+        };
+        let got = simulate_rungs(&trace, &[rung], &base, &mut observer).unwrap();
+
+        let mut sharded = ShardedCache::with_granularity(rung.granularity, 400, 2).unwrap();
+        let mut want = EventBuffer::new();
+        for &cce_dbt::TraceEvent::Access { id, direct_from } in &trace.events {
+            sharded
+                .access_or_insert(InsertRequest::new(id, 60), &mut want)
+                .unwrap();
+            if let Some(from) = direct_from {
+                if sharded.is_resident(from) && sharded.is_resident(id) {
+                    sharded.link(from, id).unwrap();
+                }
+            }
+        }
+        assert_eq!(stream, want.events());
+        assert!(stream.contains(&CacheEvent::Unlinked { id: b, links: 2 }));
+        assert_eq!(
+            stream
+                .iter()
+                .filter(|e| matches!(e, CacheEvent::Unlinked { .. }))
+                .count(),
+            1,
+            "the cross-shard fan-in merges into b's one unlink"
+        );
+        assert!(stream.contains(&CacheEvent::EvictionEnd {
+            bytes: 60,
+            links_dropped_free: 1
+        }));
+        let oracle = Replay::new(&trace)
+            .config(&base)
+            .granularity(rung.granularity)
+            .capacity(400)
+            .shards(2)
+            .run()
+            .unwrap()
+            .into_solo();
+        assert_eq!(got, [oracle]);
+        assert_eq!(got[0].stats.unlink_operations, 1);
+        assert_eq!(got[0].stats.links_unlinked, 2);
+    }
+
+    #[test]
+    fn sharded_geometry_errors_match_the_sharded_cache() {
+        use cce_core::ShardedCache;
+        let trace = trace();
+        for (granularity, capacity, shards, too_many_units) in [
+            // Total below the shard count: the last shard gets 0 bytes.
+            (Granularity::Flush, 3, 4, false),
+            (Granularity::Superblock, 7, 8, false),
+            // Per-shard slice below the unit count (10 bytes over 4
+            // shards leave 3, 3, 2, 2: three units fit only where the
+            // remainder byte landed).
+            (Granularity::units(8), 20, 4, true),
+            (Granularity::units(3), 10, 4, true),
+        ] {
+            let rung = Rung {
+                granularity,
+                capacity,
+                shards,
+            };
+            let want = ShardedCache::with_granularity(granularity, capacity, shards).unwrap_err();
+            assert_eq!(
+                matches!(want, CacheError::TooManyUnits { .. }),
+                too_many_units,
+                "{want:?}"
+            );
+            let got = simulate_rungs(&trace, &[rung], &SimConfig::default(), &mut NoObserver);
+            assert_eq!(got.unwrap_err(), SimError::Cache(want), "{rung:?}");
+        }
     }
 
     #[test]

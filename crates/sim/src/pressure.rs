@@ -118,7 +118,7 @@ pub fn simulate_at_pressure(
     pressure: u32,
     base: &SimConfig,
 ) -> Result<SimResult, SimError> {
-    simulate_cell(
+    simulate_cell_source(
         trace,
         TraceSizing::of(trace),
         granularity,
@@ -128,28 +128,13 @@ pub fn simulate_at_pressure(
     )
 }
 
-/// [`simulate_at_pressure`] with the whole-trace scans hoisted out
-/// (pass a cached [`TraceSizing`]) and a shard-count axis: `shards > 1`
-/// splits the cell's capacity over a consistent-hashed
-/// [`cce_core::ShardedCache`] at **fixed total capacity**, and the unit
-/// clamp applies per shard (each shard is its own eviction domain).
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the simulator.
-pub fn simulate_cell(
-    trace: &TraceLog,
-    sizing: TraceSizing,
-    granularity: Granularity,
-    pressure: u32,
-    shards: u32,
-    base: &SimConfig,
-) -> Result<SimResult, SimError> {
-    simulate_cell_source(trace, sizing, granularity, pressure, shards, base)
-}
-
-/// [`simulate_cell`] over any [`EventSource`] — a sweep feeds every cell
-/// the same decoded [`cce_dbt::SharedTrace`] chunks without re-parsing.
+/// [`simulate_at_pressure`] over any [`EventSource`], with the
+/// whole-trace scans hoisted out (pass a cached [`TraceSizing`]) and a
+/// shard-count axis: `shards > 1` splits the cell's capacity over a
+/// consistent-hashed [`cce_core::ShardedCache`] at **fixed total
+/// capacity**, and the unit clamp applies per shard (each shard is its
+/// own eviction domain). A sweep feeds every cell the same decoded
+/// [`cce_dbt::SharedTrace`] chunks without re-parsing.
 ///
 /// # Errors
 ///

@@ -446,9 +446,9 @@ impl<T: EventSource + Sync> ReplayMatrix<'_, T> {
     }
 
     /// Selects the simulation engine (default [`Engine::Naive`]).
-    /// [`Engine::Ladder`] fuses every unsharded cell of a trace into
-    /// one single-pass replay (DESIGN.md §14) with byte-identical
-    /// results; sharded cells always run on the per-cell oracle.
+    /// [`Engine::Ladder`] fuses every cell of a trace, at every shard
+    /// count, into one single-pass replay (DESIGN.md §14) with
+    /// byte-identical results.
     #[must_use]
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;

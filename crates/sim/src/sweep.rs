@@ -19,7 +19,7 @@
 //! (built by [`crate::replay::Replay::matrix`]); this module holds the
 //! planner and the worker pool it runs on.
 
-use crate::ladder::{simulate_ladder_source, Engine, LadderCell};
+use crate::ladder::{simulate_rungs, Engine, NoObserver, Rung};
 use crate::pressure::{cell_config, simulate_cell_source, TraceSizing};
 use crate::simulator::{EventSource, SimConfig, SimError, SimResult};
 use cce_core::Granularity;
@@ -118,12 +118,12 @@ pub fn jobs_from(flag: Option<usize>, env: Option<&str>) -> usize {
 /// Per-trace [`TraceSizing`] summaries are computed once up front, so
 /// adding shard counts never multiplies whole-trace scans.
 ///
-/// When `engine` is [`Engine::Ladder`], all unsharded cells of one
-/// trace become a single work item simulated in one pass by
-/// [`simulate_ladder_source`]; sharded cells (each shard is its own
-/// eviction domain) stay on the per-cell oracle. Either way every
-/// result lands in its plan slot, so the output — including its byte
-/// identity across `jobs` counts — is unchanged.
+/// When `engine` is [`Engine::Ladder`], all cells of one trace —
+/// every shard count included — become a single work item simulated
+/// in one pass by the ladder engine, whose sharded rungs keep one FIFO
+/// state per shard. Either way every result lands in its plan slot, so
+/// the output — including its byte identity across `jobs` counts — is
+/// unchanged.
 ///
 /// # Errors
 ///
@@ -223,33 +223,29 @@ pub(crate) fn run_matrix<T: EventSource + Sync>(
 enum WorkItem {
     /// One grid cell on the per-cell oracle engine.
     Cell(usize),
-    /// Every unsharded cell of one trace, fused into a single ladder
-    /// pass. `members` are plan indices (the result slots).
+    /// Every cell of one trace, sharded or not, fused into a single
+    /// ladder pass. `members` are plan indices (the result slots).
     Group { trace: usize, members: Vec<usize> },
 }
 
-/// Maps the planned cells onto work items for the chosen engine. Item
-/// order only affects scheduling — results are slot-addressed — so
-/// grouping keeps the naive path's byte-for-byte output guarantee.
+/// Maps the planned cells onto work items for the chosen engine: one
+/// item per cell on the oracle, one group per trace on the ladder.
+/// Item order only affects scheduling — results are slot-addressed —
+/// so grouping keeps the naive path's byte-for-byte output guarantee.
 fn build_items(cells: &[SweepCell], trace_count: usize, engine: Engine) -> Vec<WorkItem> {
     match engine {
         Engine::Naive => (0..cells.len()).map(WorkItem::Cell).collect(),
         Engine::Ladder => {
             let mut groups: Vec<Vec<usize>> = vec![Vec::new(); trace_count];
-            let mut items = Vec::new();
             for (i, cell) in cells.iter().enumerate() {
-                if cell.shards == 1 {
-                    groups[cell.trace].push(i);
-                } else {
-                    items.push(WorkItem::Cell(i));
-                }
+                groups[cell.trace].push(i);
             }
-            for (trace, members) in groups.into_iter().enumerate() {
-                if !members.is_empty() {
-                    items.push(WorkItem::Group { trace, members });
-                }
-            }
-            items
+            groups
+                .into_iter()
+                .enumerate()
+                .filter(|(_, members)| !members.is_empty())
+                .map(|(trace, members)| WorkItem::Group { trace, members })
+                .collect()
         }
     }
 }
@@ -258,13 +254,16 @@ fn build_items(cells: &[SweepCell], trace_count: usize, engine: Engine) -> Vec<W
 /// each result exactly as the oracle's cell runner would: the
 /// *requested* granularity's label, the *effective* geometry.
 ///
-/// Granularity clamping and the pressure ladder's capacity floor
-/// collapse many requested cells onto the same effective `(granularity,
-/// capacity)` pair — on the paper grid well over half of them. The
-/// simulator is deterministic, so duplicates are simulated once and the
-/// result is cloned into every requesting slot; only the per-cell label
-/// differs. The oracle engine deliberately keeps paying per cell — it
-/// is the baseline this shortcut is measured against.
+/// Each cell becomes a [`Rung`] keyed by `(granularity, capacity,
+/// shards)`: the clamped granularity, the total capacity before any
+/// unit truncation, and the shard count (0 runs as 1, as on the
+/// oracle). Granularity clamping and the pressure ladder's capacity
+/// floor collapse many requested cells onto the same rung — on the
+/// paper grid well over half of them. The simulator is deterministic,
+/// so duplicates are simulated once and the result is cloned into
+/// every requesting slot; only the per-cell label differs. The oracle
+/// engine deliberately keeps paying per cell — it is the baseline this
+/// shortcut is measured against.
 fn run_ladder_group<T: EventSource + ?Sized>(
     source: &T,
     sizing: TraceSizing,
@@ -272,19 +271,21 @@ fn run_ladder_group<T: EventSource + ?Sized>(
     members: &[usize],
     base: &SimConfig,
 ) -> Vec<(usize, Result<SimResult, SimError>)> {
-    let mut distinct: Vec<LadderCell> = Vec::new();
+    let mut distinct: Vec<Rung> = Vec::new();
     let mut rung_of: Vec<usize> = Vec::with_capacity(members.len());
     for &i in members {
-        let config = cell_config(sizing, cells[i].granularity, cells[i].pressure, 1, base);
-        // The ladder takes exact capacities; apply the same truncation
-        // the UnitFifo constructor applies silently.
-        let capacity = match config.granularity.unit_count() {
-            Some(n) => (config.capacity / u64::from(n)) * u64::from(n),
-            None => config.capacity,
-        };
-        let rung = LadderCell {
+        let shards = cells[i].shards.max(1);
+        let config = cell_config(
+            sizing,
+            cells[i].granularity,
+            cells[i].pressure,
+            shards,
+            base,
+        );
+        let rung = Rung {
             granularity: config.granularity,
-            capacity,
+            capacity: config.capacity,
+            shards,
         };
         match distinct.iter().position(|d| *d == rung) {
             Some(p) => rung_of.push(p),
@@ -294,7 +295,7 @@ fn run_ladder_group<T: EventSource + ?Sized>(
             }
         }
     }
-    match simulate_ladder_source(source, &distinct, base) {
+    match simulate_rungs(source, &distinct, base, &mut NoObserver) {
         Ok(results) => members
             .iter()
             .zip(rung_of)
@@ -454,13 +455,28 @@ mod tests {
     }
 
     #[test]
-    fn ladder_engine_leaves_sharded_cells_on_the_oracle() {
+    fn ladder_engine_matches_naive_on_sharded_cells() {
         let traces = small_traces();
         let (gs, ps) = axes();
         let base = SimConfig::default();
-        let naive = run_matrix(&traces, &gs, &ps, &[1, 4], &base, 2, Engine::Naive).unwrap();
-        let ladder = run_matrix(&traces, &gs, &ps, &[1, 4], &base, 2, Engine::Ladder).unwrap();
-        assert_eq!(ladder, naive);
+        let shard_counts = [1, 3, 4];
+        let items = build_items(&plan(2, &gs, &ps, &shard_counts), 2, Engine::Ladder);
+        assert_eq!(items.len(), 2, "one fused group per trace");
+        assert!(items.iter().all(|i| matches!(i, WorkItem::Group { .. })));
+        let naive = run_matrix(&traces, &gs, &ps, &shard_counts, &base, 2, Engine::Naive).unwrap();
+        for jobs in [1, 2, 4] {
+            let ladder = run_matrix(
+                &traces,
+                &gs,
+                &ps,
+                &shard_counts,
+                &base,
+                jobs,
+                Engine::Ladder,
+            )
+            .unwrap();
+            assert_eq!(ladder, naive, "jobs={jobs}");
+        }
     }
 
     /// An [`EventSource`] whose stream blows up mid-replay, standing in

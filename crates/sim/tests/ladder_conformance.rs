@@ -5,7 +5,10 @@
 //! paper's granularity spectrum, a capacity ladder and every pressure
 //! level, on catalog workloads and on randomized traces.
 //!
-//! Every case runs at 1, 2 and 4 workers.
+//! Sharded cells are ladder lanes too: the sharded matrices below are
+//! the ladder-vs-naive gate for `ShardedCache` geometry.
+//!
+//! Every matrix case runs at 1, 2 and 4 workers.
 
 use cce_core::{CacheEvent, CodeCache, Granularity};
 use cce_dbt::{SuperblockInfo, TraceLog};
@@ -104,6 +107,66 @@ fn matrix_ladder_is_byte_identical_to_naive_across_the_catalog() {
             assert_eq!(n, l, "jobs={jobs} cell={:?}", n.cell);
         }
     }
+}
+
+/// Runs `traces` over the conformance grid at every shard count in
+/// `shard_counts` on the naive engine once, then on the ladder at every
+/// worker count, and requires the two to agree cell by cell.
+fn assert_sharded_matrix_conforms(traces: &[TraceLog], shard_counts: &[u32], base: &SimConfig) {
+    let gs = granularities();
+    let ps = [2u32, 6, 10];
+    let matrix = || {
+        Replay::matrix(traces)
+            .granularities(&gs)
+            .pressures(&ps)
+            .shard_counts(shard_counts)
+            .config(base)
+    };
+    let naive = matrix().jobs(2).run().unwrap();
+    assert_eq!(
+        naive.len(),
+        traces.len() * shard_counts.len() * gs.len() * ps.len()
+    );
+    for jobs in THREAD_COUNTS {
+        let ladder = matrix().jobs(jobs).engine(Engine::Ladder).run().unwrap();
+        assert_eq!(ladder.len(), naive.len());
+        for (n, l) in naive.iter().zip(&ladder) {
+            assert_eq!(n, l, "jobs={jobs} cell={:?}", n.cell);
+        }
+    }
+}
+
+/// Sharded rungs are ladder lanes: every shard count, including 3 (whose
+/// capacity split leaves a remainder byte on the first shards), must
+/// reproduce the per-cell `ShardedCache` replay exactly.
+#[test]
+fn sharded_matrix_ladder_is_byte_identical_to_naive() {
+    let traces: Vec<TraceLog> = catalog::all()
+        .into_iter()
+        .take(8)
+        .map(|m| m.trace(0.04, 11))
+        .collect();
+    assert_sharded_matrix_conforms(&traces, &[1, 2, 3, 8], &SimConfig::default());
+}
+
+#[test]
+fn sharded_matrix_conforms_with_chaining_off() {
+    let traces = vec![catalog::by_name("crafty").unwrap().trace(0.04, 5)];
+    let base = SimConfig {
+        chaining: false,
+        ..SimConfig::default()
+    };
+    assert_sharded_matrix_conforms(&traces, &[1, 2, 3, 8], &base);
+}
+
+#[test]
+fn sharded_matrix_conforms_with_unlink_charging_off() {
+    let traces = vec![catalog::by_name("gcc").unwrap().trace(0.04, 5)];
+    let base = SimConfig {
+        charge_unlinks: false,
+        ..SimConfig::default()
+    };
+    assert_sharded_matrix_conforms(&traces, &[1, 2, 3, 8], &base);
 }
 
 #[test]
@@ -324,5 +387,35 @@ fn random_traces_conform_property_style() {
                 rung.capacity
             );
         }
+    }
+}
+
+/// The random traces again, as one sharded matrix: small universes at
+/// 2, 3 and 10 shards put most links across shards, and the pressure
+/// floor ([`cce_sim::pressure::MIN_CAPACITY`]) leaves 10-shard slices
+/// smaller than the largest blocks, so uncacheable blocks occur.
+#[test]
+fn random_traces_conform_as_a_sharded_matrix() {
+    let traces: Vec<TraceLog> = (0..24u64).map(random_trace).collect();
+    let gs = [
+        Granularity::Flush,
+        Granularity::units(2),
+        Granularity::units(4),
+        Granularity::Superblock,
+    ];
+    let matrix = || {
+        Replay::matrix(&traces)
+            .granularities(&gs)
+            .pressures(&[1, 2, 4])
+            .shard_counts(&[2, 3, 10])
+    };
+    let naive = matrix().jobs(2).run().unwrap();
+    assert!(
+        naive.iter().any(|p| p.result.uncacheable > 0),
+        "fixture lost its point"
+    );
+    for jobs in THREAD_COUNTS {
+        let ladder = matrix().jobs(jobs).engine(Engine::Ladder).run().unwrap();
+        assert_eq!(ladder, naive, "jobs={jobs}");
     }
 }

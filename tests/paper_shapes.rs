@@ -2,32 +2,73 @@
 //!
 //! These are the assertions EXPERIMENTS.md reports at full scale; here
 //! they run at a scale that keeps `cargo test` fast while still stressing
-//! the caches.
+//! the caches. The catalog traces are generated once, and every
+//! (granularity, pressure) cell the figures read comes from one
+//! single-pass ladder sweep over all of them.
 
 use cce::core::Granularity;
+use cce::dbt::TraceLog;
 use cce::sim::exectime::{ChainingScenario, DispatchCost};
 use cce::sim::metrics::unified_miss_rate;
-use cce::sim::pressure::simulate_at_pressure;
-use cce::sim::simulator::SimConfig;
+use cce::sim::{resolve_jobs, Engine, Replay, SimResult, SweepPoint};
 use cce::workloads::catalog;
+use std::sync::OnceLock;
 
 const SCALE: f64 = 0.15;
 const SEED: u64 = 1234;
+
+/// Every catalog trace at `SCALE`/`SEED`, generated once.
+fn traces() -> &'static [TraceLog] {
+    static TRACES: OnceLock<Vec<TraceLog>> = OnceLock::new();
+    TRACES.get_or_init(|| {
+        catalog::all()
+            .into_iter()
+            .map(|m| m.trace(SCALE, SEED))
+            .collect()
+    })
+}
+
+/// The grid the figures below read: FLUSH, 2–64 units and fine FIFO at
+/// pressures 2 and 10, over every trace, in plan (trace-major) order.
+fn grid() -> &'static [SweepPoint] {
+    static GRID: OnceLock<Vec<SweepPoint>> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let mut granularities = vec![Granularity::Flush];
+        granularities.extend([2, 4, 8, 16, 32, 64].map(Granularity::units));
+        granularities.push(Granularity::Superblock);
+        Replay::matrix(traces())
+            .granularities(&granularities)
+            .pressures(&[2, 10])
+            .engine(Engine::Ladder)
+            .jobs(resolve_jobs(None))
+            .run()
+            .expect("valid traces")
+    })
+}
+
+/// The grid's results at one cell, in catalog order.
+fn cells(
+    granularity: Granularity,
+    pressure: u32,
+) -> impl Iterator<Item = (usize, &'static SimResult)> {
+    grid()
+        .iter()
+        .filter(move |p| p.cell.granularity == granularity && p.cell.pressure == pressure)
+        .map(|p| (p.cell.trace, &p.result))
+}
 
 fn unified(granularity: Granularity, pressure: u32) -> (f64, u64, f64, f64) {
     let mut pairs = Vec::new();
     let mut invocations = 0;
     let mut overhead_nolinks = 0.0;
     let mut overhead_links = 0.0;
-    for m in catalog::all() {
-        let trace = m.trace(SCALE, SEED);
-        let r = simulate_at_pressure(&trace, granularity, pressure, &SimConfig::default())
-            .expect("valid trace");
+    for (_, r) in cells(granularity, pressure) {
         pairs.push((r.stats.misses, r.stats.accesses));
         invocations += r.stats.eviction_invocations;
         overhead_nolinks += r.miss_overhead + r.eviction_overhead;
         overhead_links += r.total_overhead();
     }
+    assert_eq!(pairs.len(), traces().len(), "{granularity} @ {pressure}");
     (
         unified_miss_rate(pairs),
         invocations,
@@ -106,11 +147,11 @@ fn figures_11_15_fine_fifo_advantage_shrinks_with_pressure() {
 
 #[test]
 fn figure13_inter_unit_links_rise_with_granularity() {
-    let trace = catalog::by_name("gcc").unwrap().trace(SCALE, SEED);
-    let base = SimConfig::default();
     let frac = |g| {
-        simulate_at_pressure(&trace, g, 2, &base)
-            .unwrap()
+        cells(g, 2)
+            .find(|(t, _)| traces()[*t].name == "gcc")
+            .expect("gcc is in the catalog")
+            .1
             .census_inter_fraction()
     };
     let flush = frac(Granularity::Flush);
@@ -162,8 +203,7 @@ fn backpointer_table_memory_matches_section_5_1() {
     // code cache. Check our suite-wide ratio lands in that neighbourhood.
     let mut links = 0.0;
     let mut bytes = 0.0;
-    for m in catalog::all() {
-        let t = m.trace(SCALE, SEED);
+    for t in traces() {
         let s = t.summary();
         links += s.mean_out_degree * s.superblock_count as f64;
         bytes += s.total_code_bytes as f64;
