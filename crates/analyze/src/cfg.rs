@@ -19,8 +19,8 @@
 //!   parsed but produces no nodes);
 //! * every node is reachable from the entry.
 //!
-//! The graph feeds the worklist solvers in [`crate::dataflow`]
-//! (event-typestate, cost-units).
+//! The graph feeds the worklist solver in [`crate::dataflow`]
+//! (event-typestate).
 
 use crate::lexer::{TokKind, Token};
 
@@ -132,18 +132,6 @@ impl Cfg {
                 && n.span.0 <= tok
                 && tok < n.span.1
         })
-    }
-
-    /// Predecessor lists, derived from the successor edges.
-    #[must_use]
-    pub fn preds(&self) -> Vec<Vec<usize>> {
-        let mut preds = vec![Vec::new(); self.nodes.len()];
-        for (i, n) in self.nodes.iter().enumerate() {
-            for &s in &n.succs {
-                preds[s].push(i);
-            }
-        }
-        preds
     }
 
     /// A stable text rendering for golden tests: one line per node,

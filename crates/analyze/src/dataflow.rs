@@ -1,17 +1,15 @@
 //! A generic worklist dataflow framework over [`crate::cfg::Cfg`].
 //!
 //! Facts form a join-semilattice ([`Lattice`]); a client supplies a
-//! transfer function per CFG node and the solver iterates to a
-//! fixpoint. Both directions are provided: the event-typestate and
-//! cost-units lints run [`forward`]; [`backward`] exists for
-//! liveness-shaped queries and is exercised by the tests here.
+//! transfer function per CFG node and the [`forward`] solver iterates
+//! to a fixpoint. The event-typestate lint is its one client.
 //!
 //! Per-function solutions become interprocedural through function
 //! summaries: a lint runs the solver on each function, condenses the
 //! exit fact into a summary, and re-runs until the summary table
 //! stabilizes over the call graph (see [`crate::typestate`]).
 
-use crate::cfg::{Cfg, ENTRY, EXIT};
+use crate::cfg::{Cfg, ENTRY};
 
 /// A join-semilattice of dataflow facts.
 pub trait Lattice: Clone {
@@ -65,42 +63,10 @@ pub fn forward<F: Lattice>(
     Solution { input, output }
 }
 
-/// Solves a backward problem: facts flow exit → entry along
-/// predecessor edges. `seed` is the fact entering the exit sink.
-pub fn backward<F: Lattice>(
-    cfg: &Cfg,
-    seed: F,
-    mut transfer: impl FnMut(usize, &mut F),
-) -> Solution<F> {
-    let n = cfg.nodes.len();
-    let preds = cfg.preds();
-    let mut input: Vec<F> = vec![F::bottom(); n];
-    let mut output: Vec<F> = vec![F::bottom(); n];
-    input[EXIT] = seed;
-    let mut worklist: Vec<usize> = vec![EXIT];
-    let mut queued = vec![false; n];
-    queued[EXIT] = true;
-    while let Some(node) = worklist.pop() {
-        queued[node] = false;
-        let mut out = input[node].clone();
-        transfer(node, &mut out);
-        if !output[node].join(&out) && node != EXIT {
-            continue;
-        }
-        for &pred in &preds[node] {
-            if input[pred].join(&output[node]) && !queued[pred] {
-                queued[pred] = true;
-                worklist.push(pred);
-            }
-        }
-    }
-    Solution { input, output }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::NodeKind;
+    use crate::cfg::{NodeKind, EXIT};
     use crate::lexer::lex;
     use std::collections::BTreeSet;
 
@@ -156,22 +122,6 @@ mod tests {
         for &arm in &arms {
             assert!(sol.input[join_node].0.contains(&arm));
             assert!(!sol.input[arm].0.contains(&arms[0]) || arm == arms[0]);
-        }
-    }
-
-    #[test]
-    fn backward_flows_against_the_edges() {
-        let cfg = cfg_of("{ a(); b(); }");
-        let sol = backward(&cfg, Visited(BTreeSet::from([EXIT])), |node, fact| {
-            fact.0.insert(node);
-        });
-        // The entry sees the whole chain in a backward pass.
-        assert!(sol.input[ENTRY].0.contains(&EXIT));
-        let stmt_nodes: Vec<usize> = (0..cfg.nodes.len())
-            .filter(|&i| cfg.nodes[i].kind == NodeKind::Stmt)
-            .collect();
-        for &s in &stmt_nodes {
-            assert!(sol.input[ENTRY].0.contains(&s));
         }
     }
 

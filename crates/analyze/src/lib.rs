@@ -31,10 +31,6 @@
 //!   interprocedural through opens/closes/balanced function summaries.
 //!   Successor to the construction-site-only `event-protocol` check
 //!   (whose machinery-confinement rule it keeps as a backstop).
-//! * **cost-units** ([`units`]) — infers units (bytes, cycles, event
-//!   counts) for locals from the `cce_sim::overhead` cost model and
-//!   naming conventions, then flags cross-unit `+`/`-` arithmetic and
-//!   unsaturated integer cycle accumulation.
 //!
 //! Old lint names still work in `cce-analyze: allow(…)` annotations
 //! and committed baselines ([`lints::LINT_RENAMES`]).
@@ -55,7 +51,6 @@ pub mod sarif;
 pub mod symbols;
 pub mod taint;
 pub mod typestate;
-pub mod units;
 
 pub use baseline::Baseline;
 pub use lints::{Finding, LintSet};
@@ -130,7 +125,6 @@ pub fn scan_repo(root: &Path) -> io::Result<Vec<Finding>> {
     let cg = CallGraph::build(&ws);
     findings.extend(taint::run(&ws, &cg, true));
     findings.extend(typestate::run(&ws, &cg, true));
-    findings.extend(units::run(&ws, true));
     findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     Ok(findings)
 }
@@ -154,7 +148,6 @@ pub fn scan_fixtures(paths: &[PathBuf]) -> io::Result<Vec<Finding>> {
     let cg = CallGraph::build(&ws);
     findings.extend(taint::run(&ws, &cg, false));
     findings.extend(typestate::run(&ws, &cg, false));
-    findings.extend(units::run(&ws, false));
     findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));
     Ok(findings)
 }

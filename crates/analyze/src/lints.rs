@@ -23,8 +23,6 @@ pub const COST_CONSTANT: &str = "cost-constant";
 pub const PANIC_PATH: &str = "panic-path";
 /// See [`NONDET_TAINT`].
 pub const EVENT_TYPESTATE: &str = "event-typestate";
-/// See [`NONDET_TAINT`].
-pub const COST_UNITS: &str = "cost-units";
 
 /// Historical lint names accepted as annotation aliases and migrated
 /// in baselines: the file-local `nondet-iter` became the
@@ -438,7 +436,7 @@ mod tests {
 // cce-analyze: allow(event-protocol): rewriting a settled stream
 ");
         assert!(is_suppressed(&lexed, EVENT_TYPESTATE, 2));
-        assert!(!is_suppressed(&lexed, COST_UNITS, 2));
+        assert!(!is_suppressed(&lexed, PANIC_PATH, 2));
     }
 
     #[test]

@@ -34,11 +34,6 @@ fn rule_help(lint: &str) -> &'static str {
              inside an open scope. CacheEvent construction stays confined to \
              the event machinery."
         }
-        crate::lints::COST_UNITS => {
-            "Bytes, cycles and event counts are distinct currencies: no \
-             cross-unit +/- arithmetic, and integer cycle accumulators must \
-             use saturating/checked ops."
-        }
         _ => "cce-analyze finding.",
     }
 }

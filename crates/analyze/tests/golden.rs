@@ -108,16 +108,6 @@ fn event_typestate_pair() {
 }
 
 #[test]
-fn cost_units_pair() {
-    assert_pair(
-        "cost-units",
-        "cost_units_violating.rs",
-        "cost_units_clean.rs",
-        5,
-    );
-}
-
-#[test]
 fn lexer_desync_fixture_stays_clean() {
     // Nested block comments and the full escape set: if the lexer
     // loses a literal boundary, the fixture's trap strings leak

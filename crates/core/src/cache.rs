@@ -327,6 +327,18 @@ impl CodeCache {
         Ok(summary)
     }
 
+    /// Fills a miss the caller has just recorded: counts the block's
+    /// bytes into [`CacheStats::miss_bytes`] whether or not it fits, then
+    /// inserts it through [`CodeCache::insert_request`].
+    pub(crate) fn insert_miss(
+        &mut self,
+        req: InsertRequest,
+        sink: &mut dyn EventSink,
+    ) -> Result<InsertSummary, CacheError> {
+        self.stats.miss_bytes += u64::from(req.size);
+        self.insert_request(req, sink)
+    }
+
     /// Chains `from → to` (the DBT patched `from`'s exit stub to jump
     /// directly to `to`). Returns `true` if the link is new.
     ///

@@ -248,7 +248,7 @@ impl CacheSession for CodeCache {
                 inserted: None,
             });
         }
-        let summary = self.insert_request(req, sink)?;
+        let summary = self.insert_miss(req, sink)?;
         Ok(AccessOutcome {
             access,
             inserted: Some(summary),
@@ -367,6 +367,12 @@ mod tests {
         assert!(matches!(err, CacheError::BlockTooLarge { .. }));
         let s = c.stats_snapshot();
         assert_eq!((s.accesses, s.misses, s.insertions), (1, 1, 0));
+        // Eq. 3 still charges the uncacheable block's bytes.
+        assert_eq!((s.miss_bytes, s.bytes_inserted), (4000, 0));
+        c.access_or_insert_quiet(InsertRequest::new(sb(2), 60))
+            .unwrap();
+        let s = c.stats_snapshot();
+        assert_eq!((s.miss_bytes, s.bytes_inserted), (4060, 60));
     }
 
     #[test]

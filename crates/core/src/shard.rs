@@ -329,7 +329,7 @@ impl CacheSession for ShardedCache {
         // this one; same-shard hints pass through untouched.
         let hint = req.hint.filter(|h| jump_hash(h.0, shards) as usize == s);
         let mut wrapper = CrossShardSink::new(sink, &mut self.xlinks);
-        let mut summary = lane.insert_request(
+        let mut summary = lane.insert_miss(
             InsertRequest::new(req.id, req.size).with_hint(hint),
             &mut wrapper,
         )?;

@@ -4,7 +4,7 @@
 //! rates (Figures 6–7), eviction-invocation counts (Figure 8), link
 //! creation and classification (Figures 12–13), and the raw inputs to the
 //! overhead models (Figures 10–11, 14–15 are computed by `cce-sim` from
-//! these counters plus the per-event byte/link quantities).
+//! these counters alone: Eqs. 2–4 are linear).
 
 /// Counters accumulated by a [`crate::CodeCache`] over its lifetime.
 ///
@@ -23,6 +23,9 @@ pub struct CacheStats {
     /// Misses for blocks that had been evicted (the replacement policy's
     /// fault).
     pub capacity_misses: u64,
+    /// Bytes of every missed block, uncacheable ones included (Eq. 3's
+    /// per-byte input; `bytes_inserted` leaves the uncacheable out).
+    pub miss_bytes: u64,
 
     /// Successful insertions.
     pub insertions: u64,
@@ -127,6 +130,7 @@ impl CacheStats {
         self.misses += other.misses;
         self.cold_misses += other.cold_misses;
         self.capacity_misses += other.capacity_misses;
+        self.miss_bytes += other.miss_bytes;
         self.insertions += other.insertions;
         self.bytes_inserted += other.bytes_inserted;
         self.padding_bytes += other.padding_bytes;
@@ -182,12 +186,14 @@ mod tests {
         let mut a = CacheStats {
             accesses: 5,
             misses: 2,
+            miss_bytes: 300,
             high_water_bytes: 100,
             ..CacheStats::default()
         };
         let b = CacheStats {
             accesses: 7,
             misses: 1,
+            miss_bytes: 45,
             high_water_bytes: 80,
             high_water_blocks: 9,
             ..CacheStats::default()
@@ -195,6 +201,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.accesses, 12);
         assert_eq!(a.misses, 3);
+        assert_eq!(a.miss_bytes, 345);
         assert_eq!(a.high_water_bytes, 100);
         assert_eq!(a.high_water_blocks, 9);
     }

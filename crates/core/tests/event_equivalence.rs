@@ -5,14 +5,16 @@
 //! via the bare [`CodeCache::insert_request`] core, one through the
 //! [`CacheSession`] trait the serving layers use — and the event
 //! streams, their [`InsertReport`] reassembly, the compact summaries and
-//! the final [`cce_core::CacheStats`] must match exactly. This is the
+//! the final [`CacheStats`] must match exactly — except `miss_bytes`,
+//! which only the trait's miss path counts and which must equal the
+//! bytes of the misses the bare core filled. This is the
 //! guarantee that let the legacy `#[deprecated]` insert shims be
 //! deleted: every surviving entry point is the same core.
 
 use cce_core::{
-    AdaptiveUnits, AffinityUnits, CacheEvent, CacheOrg, CacheSession, CodeCache, EventBuffer,
-    FineFifo, Generational, InsertReport, InsertRequest, LruCache, PreemptiveFlush, SuperblockId,
-    UnitFifo,
+    AdaptiveUnits, AffinityUnits, CacheEvent, CacheOrg, CacheSession, CacheStats, CodeCache,
+    EventBuffer, FineFifo, Generational, InsertReport, InsertRequest, LruCache, PreemptiveFlush,
+    SuperblockId, UnitFifo,
 };
 use cce_util::{Rng, StdRng};
 
@@ -71,6 +73,7 @@ fn core_and_trait_paths_are_equivalent_for_every_org() {
         let mut rng = StdRng::seed_from_u64(0xEC0);
         let mut core_buf = EventBuffer::new();
         let mut trait_buf = EventBuffer::new();
+        let mut miss_bytes = 0u64;
         for step in 0..600u32 {
             let id = SuperblockId(rng.gen_range(0..48u64));
             let size = rng.gen_range(16..128u32);
@@ -86,6 +89,7 @@ fn core_and_trait_paths_are_equivalent_for_every_org() {
                 .unwrap_or_else(|e| panic!("{name}: trait insert failed: {e}"));
             assert_eq!(access, outcome.access, "{name}: access diverged at {step}");
             if access.is_miss() {
+                miss_bytes += u64::from(size);
                 core_buf.clear();
                 let summary = core
                     .insert_request(req, &mut core_buf)
@@ -141,7 +145,10 @@ fn core_and_trait_paths_are_equivalent_for_every_org() {
             assert_eq!(core.used(), traited.used(), "{name}: usage diverged");
         }
         assert_eq!(
-            core.stats(),
+            &CacheStats {
+                miss_bytes,
+                ..*core.stats()
+            },
             traited.stats(),
             "{name}: final statistics diverged"
         );

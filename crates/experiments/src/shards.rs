@@ -113,10 +113,7 @@ fn run_cell(
 /// The `shards` command: every org at 1/2/4/8 shards, pressure 6,
 /// fixed total capacity per benchmark.
 pub fn shards(opts: &Options) -> String {
-    let config = SimConfig {
-        charge_unlinks: true,
-        ..SimConfig::default()
-    };
+    let config = SimConfig::default();
     let traces: Vec<(cce_dbt::TraceLog, u64, u64)> = BENCHMARKS
         .iter()
         .map(|name| {

@@ -82,10 +82,7 @@ fn run_mode(
 /// The `tenants` command: static even split vs arbiter for every
 /// organization, three tenants on a four-shard concurrent cache.
 pub fn tenants(opts: &Options) -> String {
-    let config = SimConfig {
-        charge_unlinks: true,
-        ..SimConfig::default()
-    };
+    let config = SimConfig::default();
     let tenants: Vec<Tenant> = BENCHMARKS
         .iter()
         .map(|name| {

@@ -26,7 +26,7 @@
 //!   shard and same unit" the ordinary intra-unit test.
 //!
 //! Results are **byte-identical** to the per-cell oracle — same
-//! [`CacheStats`], same f64 overhead accumulation order, same settled
+//! [`CacheStats`], hence the same Eq. 2–4 charge, and the same settled
 //! event stream per cell (checked by `tests/ladder_conformance.rs`).
 //! The naive path stays available as [`Engine::Naive`] and remains the
 //! reference implementation.
@@ -101,9 +101,8 @@ impl<F: FnMut(usize, CacheEvent)> LadderObserver for F {
 pub(crate) const MAX_LADDER_BATCH: usize = 64;
 
 /// Simulate every `cells` rung in a single pass over `source` (one
-/// pass per 64-cell batch). `base` supplies the overhead model and the
-/// `chaining`/`charge_unlinks` switches; granularity and capacity come
-/// from each rung.
+/// pass per 64-cell batch). `base` supplies the `chaining` switch;
+/// granularity and capacity come from each rung.
 ///
 /// Returns one [`SimResult`] per rung, in `cells` order, byte-identical
 /// to what the naive engine produces for the same configuration.
@@ -331,7 +330,7 @@ impl ShardState {
 }
 
 /// Full state of one ladder rung: its bit lane, geometry, per-shard
-/// organizations and the per-cell accumulators a [`SimResult`] is
+/// organizations and the per-cell counters a [`SimResult`] is
 /// assembled from.
 struct ConfigState {
     bit: u64,
@@ -352,9 +351,6 @@ struct ConfigState {
     /// Fine FIFO victim buffer reused across invocations.
     scratch: Vec<u32>,
     stats: CacheStats,
-    miss_overhead: f64,
-    eviction_overhead: f64,
-    unlink_overhead: f64,
     uncacheable: u64,
     /// Running link counts maintained eagerly so the periodic census
     /// is O(1) per configuration instead of a graph walk.
@@ -391,9 +387,6 @@ impl ConfigState {
             },
             scratch: Vec::new(),
             stats: CacheStats::new(),
-            miss_overhead: 0.0,
-            eviction_overhead: 0.0,
-            unlink_overhead: 0.0,
             uncacheable: 0,
             live_intra: 0,
             live_inter: 0,
@@ -483,7 +476,6 @@ where
         (1u64 << rungs.len()) - 1
     };
     let census_every = (usize::try_from(event_count).unwrap_or(usize::MAX) / 64).max(1);
-    let model = base.overhead;
     let mut event_idx: u64 = 0;
 
     for chunk in source.event_chunks() {
@@ -510,6 +502,7 @@ where
                 let cfg = &mut configs[lane];
                 let cold = sh.seen[b] & cfg.bit == 0;
                 cfg.stats.misses += 1;
+                cfg.stats.miss_bytes += u64::from(size);
                 if cold {
                     cfg.stats.cold_misses += 1;
                 } else {
@@ -523,24 +516,13 @@ where
                 }
                 let shard = cfg.home.map_or(0, |h| homes[h].1[b] as usize);
                 if u64::from(size) > cfg.shard(shard).max_insert {
-                    // Uncacheable in this rung: the miss stands, the
-                    // regeneration is charged, nothing is inserted
-                    // (and first-touch is not recorded — every future
-                    // miss on it stays cold, exactly as in the oracle).
-                    cfg.miss_overhead += model.miss_cost(u64::from(size));
+                    // Uncacheable in this rung: the miss stands (its
+                    // bytes are charged), nothing is inserted (and
+                    // first-touch is not recorded — every future miss
+                    // on it stays cold, exactly as in the oracle).
                     cfg.uncacheable += 1;
                 } else {
-                    miss_insert(
-                        cfg,
-                        shard,
-                        &mut sh,
-                        b,
-                        size,
-                        &model,
-                        base.charge_unlinks,
-                        obs,
-                        cell_base + lane,
-                    );
+                    miss_insert(cfg, shard, &mut sh, b, size, obs, cell_base + lane);
                 }
             }
             if base.chaining {
@@ -576,14 +558,16 @@ where
             stats.accesses = event_count;
             // Every access is exactly one hit or one miss.
             stats.hits = event_count - stats.misses;
+            let (miss_overhead, eviction_overhead, unlink_overhead) =
+                OverheadModel::cgo2004().charge(&stats);
             SimResult {
                 name: name.to_owned(),
                 granularity_label: cfg.label,
                 capacity: cfg.capacity,
                 stats,
-                miss_overhead: cfg.miss_overhead,
-                eviction_overhead: cfg.eviction_overhead,
-                unlink_overhead: cfg.unlink_overhead,
+                miss_overhead,
+                eviction_overhead,
+                unlink_overhead,
                 uncacheable: cfg.uncacheable,
                 census_intra_links: cfg.census_intra,
                 census_inter_links: cfg.census_inter,
@@ -593,19 +577,13 @@ where
 }
 
 /// Insert superblock `b` into its home `shard` of one rung after a
-/// miss, evicting exactly as that shard's organization would, and
-/// charge the three overhead models in the oracle's order (miss,
-/// eviction, unlink — the latter two at zero when nothing was evicted,
-/// preserving f64 identity).
-#[allow(clippy::too_many_arguments)]
+/// miss, evicting exactly as that shard's organization would.
 fn miss_insert<O: LadderObserver>(
     cfg: &mut ConfigState,
     shard: usize,
     sh: &mut Shared,
     b: usize,
     size: u32,
-    model: &OverheadModel,
-    charge_unlinks: bool,
     obs: &mut O,
     cell: usize,
 ) {
@@ -618,9 +596,6 @@ fn miss_insert<O: LadderObserver>(
         stats,
         live_intra,
         live_inter,
-        miss_overhead,
-        eviction_overhead,
-        unlink_overhead,
         ..
     } = cfg;
     let ShardState {
@@ -635,8 +610,6 @@ fn miss_insert<O: LadderObserver>(
     };
     let bit = *bit;
     let sz = u64::from(size);
-    // (invocations, bytes evicted, unlink operations, links unlinked)
-    let mut charge = (0u64, 0u64, 0u64, 0u64);
     match org {
         OrgState::Unit {
             unit_capacity,
@@ -658,7 +631,7 @@ fn miss_insert<O: LadderObserver>(
                     *used -= units[*head].used;
                     units[*head].used = 0;
                     *resident_blocks -= victims.len() as u64;
-                    let inv = process_invocation(
+                    process_invocation(
                         sh,
                         &victims,
                         bit,
@@ -669,7 +642,6 @@ fn miss_insert<O: LadderObserver>(
                         obs,
                         cell,
                     );
-                    charge = (1, inv.0, inv.1, inv.2);
                     victims.clear();
                     units[*head].blocks = victims;
                 }
@@ -692,10 +664,9 @@ fn miss_insert<O: LadderObserver>(
                     victims.push(victim);
                 }
                 *resident_blocks -= victims.len() as u64;
-                let inv = process_invocation(
+                process_invocation(
                     sh, &victims, bit, None, stats, live_intra, live_inter, obs, cell,
                 );
-                charge = (1, inv.0, inv.1, inv.2);
                 victims.clear();
                 *scratch = victims;
             }
@@ -719,19 +690,13 @@ fn miss_insert<O: LadderObserver>(
             },
         );
     }
-    *miss_overhead += model.miss_cost(sz);
-    *eviction_overhead += model.eviction_cost_total(charge.0, charge.1);
-    if charge_unlinks {
-        *unlink_overhead += model.unlink_cost_total(charge.2, charge.3);
-    }
 }
 
 /// Process one eviction invocation for one rung: clear the victims'
 /// residency and live-link bits, split removed links into explicit
 /// unlink operations (a surviving predecessor must be unlinked) versus
 /// links dropped for free (both endpoints dying), and emit the settled
-/// event run. Returns (bytes evicted, unlink operations, links
-/// unlinked) for the overhead charge.
+/// event run.
 #[allow(clippy::too_many_arguments)]
 fn process_invocation<O: LadderObserver>(
     sh: &mut Shared,
@@ -743,7 +708,7 @@ fn process_invocation<O: LadderObserver>(
     live_inter: &mut u64,
     obs: &mut O,
     cell: usize,
-) -> (u64, u64, u64) {
+) {
     let Shared {
         ids,
         sizes,
@@ -770,7 +735,6 @@ fn process_invocation<O: LadderObserver>(
     }
     let mut removed = 0u64;
     let mut unlinked = 0u64;
-    let mut unlink_ops = 0u64;
     for &victim in victims {
         let v = victim as usize;
         // Incoming edges from a non-dying source are the ones the
@@ -819,7 +783,6 @@ fn process_invocation<O: LadderObserver>(
         if survivors > 0 {
             stats.unlink_operations += 1;
             stats.links_unlinked += u64::from(survivors);
-            unlink_ops += 1;
             unlinked += u64::from(survivors);
             if O::ACTIVE {
                 obs.on_event(
@@ -843,7 +806,6 @@ fn process_invocation<O: LadderObserver>(
             },
         );
     }
-    (bytes, unlink_ops, unlinked)
 }
 
 /// Record a chainable transition `from → to` observed while both
@@ -955,7 +917,6 @@ mod tests {
         let trace = trace();
         let base = SimConfig {
             chaining: false,
-            charge_unlinks: false,
             ..SimConfig::default()
         };
         let cells = ladder_cells(trace.max_cache_bytes());

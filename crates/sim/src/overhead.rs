@@ -10,6 +10,11 @@
 //!   instructions for a typical SPEC superblock, §3.2).
 //! * **Unlinking** (Eq. 4): `296.5 · links + 95.7` per evicted superblock
 //!   with incoming inter-unit links.
+//!
+//! A run is charged once, at its end, by [`OverheadModel::charge`] over
+//! its [`CacheStats`].
+
+use cce_core::CacheStats;
 
 /// A fitted line `y = slope · x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,10 +115,8 @@ impl OverheadModel {
     }
 
     /// Σ Eq. 2 over `invocations` eviction invocations that together
-    /// freed `bytes` — the linearity of the model means the aggregate
-    /// counts of an [`cce_core::InsertSummary`] are sufficient, which is
-    /// what lets the simulator charge overheads without materializing
-    /// per-eviction reports.
+    /// freed `bytes` — the model is linear, so the aggregate counts are
+    /// sufficient and no per-eviction report is ever materialized.
     #[must_use]
     pub fn eviction_cost_total(&self, invocations: u64, bytes: u64) -> f64 {
         self.eviction.slope * bytes as f64 + self.eviction.intercept * invocations as f64
@@ -124,6 +127,19 @@ impl OverheadModel {
     #[must_use]
     pub fn unlink_cost_total(&self, operations: u64, links: u64) -> f64 {
         self.unlink.slope * links as f64 + self.unlink.intercept * operations as f64
+    }
+
+    /// Eqs. 2–4 summed over a whole run from its counters alone, as
+    /// `(miss, eviction, unlink)` instructions: each model is `a·x + b`,
+    /// so its sum over events is `a·Σx + b·count`. Eq. 3 charges every
+    /// miss, uncacheable blocks included.
+    #[must_use]
+    pub fn charge(&self, stats: &CacheStats) -> (f64, f64, f64) {
+        (
+            self.miss.slope * stats.miss_bytes as f64 + self.miss.intercept * stats.misses as f64,
+            self.eviction_cost_total(stats.eviction_invocations, stats.bytes_evicted),
+            self.unlink_cost_total(stats.unlink_operations, stats.links_unlinked),
+        )
     }
 }
 
@@ -191,5 +207,18 @@ mod tests {
         assert!((m.eviction_cost_total(3, 450) - per_event).abs() < 1e-9);
         let per_op = m.unlink_cost(2) + m.unlink_cost(5);
         assert!((m.unlink_cost_total(2, 7) - per_op).abs() < 1e-9);
+        let stats = CacheStats {
+            misses: 2,
+            miss_bytes: 330,
+            eviction_invocations: 3,
+            bytes_evicted: 450,
+            unlink_operations: 2,
+            links_unlinked: 7,
+            ..CacheStats::default()
+        };
+        let (miss, eviction, unlink) = m.charge(&stats);
+        assert!((miss - (m.miss_cost(100) + m.miss_cost(230))).abs() < 1e-9);
+        assert!((eviction - per_event).abs() < 1e-9);
+        assert!((unlink - per_op).abs() < 1e-9);
     }
 }

@@ -3,7 +3,8 @@
 //! The simulator replays a [`TraceLog`] — from the real DBT engine or
 //! from the statistical workload models — against a fresh cache at one
 //! (granularity, capacity) point, charging the [`OverheadModel`] for every
-//! miss, eviction invocation and unlink operation. This is the paper's
+//! miss, eviction invocation and unlink operation (once, from the run's
+//! final statistics: Eqs. 2–4 are linear). This is the paper's
 //! code-cache simulator (§4.1) with the overhead penalties of §4.4/§5.3
 //! built in. Callers configure and launch a replay through the
 //! [`crate::replay::Replay`] builder; this module holds the engine it
@@ -34,14 +35,9 @@ pub struct SimConfig {
     pub granularity: Granularity,
     /// Capacity in bytes (the paper uses `maxCache / pressure`).
     pub capacity: u64,
-    /// Cost models to charge.
-    pub overhead: OverheadModel,
     /// Whether superblock chaining is simulated (links form on direct
     /// transitions when both endpoints are resident).
     pub chaining: bool,
-    /// Whether unlink penalties (Eq. 4) are charged — §4.4 runs without
-    /// them (Figures 10–11), §5.3 with them (Figures 14–15).
-    pub charge_unlinks: bool,
 }
 
 impl Default for SimConfig {
@@ -49,9 +45,7 @@ impl Default for SimConfig {
         SimConfig {
             granularity: Granularity::Superblock,
             capacity: 1 << 20,
-            overhead: OverheadModel::cgo2004(),
             chaining: true,
-            charge_unlinks: true,
         }
     }
 }
@@ -122,8 +116,7 @@ pub struct SimResult {
     pub miss_overhead: f64,
     /// Σ Eq. 2 over eviction invocations, in instructions.
     pub eviction_overhead: f64,
-    /// Σ Eq. 4 over unlink operations, in instructions (0 when not
-    /// charged).
+    /// Σ Eq. 4 over unlink operations, in instructions.
     pub unlink_overhead: f64,
     /// Superblocks that could not fit the eviction granule and were
     /// simulated as permanently uncached (normally 0).
@@ -326,9 +319,6 @@ pub struct SimDriver<S: CacheSession> {
     event_count: u64,
     census_every: usize,
     event_idx: usize,
-    miss_overhead: f64,
-    eviction_overhead: f64,
-    unlink_overhead: f64,
     uncacheable: u64,
     census_intra: u64,
     census_inter: u64,
@@ -363,9 +353,6 @@ impl<S: CacheSession> SimDriver<S> {
             // the stream is chunked or sliced.
             census_every: (usize::try_from(event_count).unwrap_or(usize::MAX) / 64).max(1),
             event_idx: 0,
-            miss_overhead: 0.0,
-            eviction_overhead: 0.0,
-            unlink_overhead: 0.0,
             uncacheable: 0,
             census_intra: 0,
             census_inter: 0,
@@ -384,34 +371,15 @@ impl<S: CacheSession> SimDriver<S> {
             // Placement hint: the chain source of this direct transition,
             // if still resident (placement-aware organizations co-locate).
             let partner = direct_from.filter(|f| self.session.is_resident(*f));
-            // One call looks up and, on a miss, inserts. Eqs. 2 and 4 are
-            // linear, so the settled aggregate counts charge exactly what
-            // walking per-eviction reports used to.
+            // One call looks up and, on a miss, inserts.
             match self
                 .session
                 .access_or_insert_quiet(InsertRequest::new(id, size).with_hint(partner))
             {
-                Ok(outcome) => {
-                    if let Some(summary) = outcome.inserted {
-                        self.miss_overhead += self.config.overhead.miss_cost(u64::from(size));
-                        self.eviction_overhead += self.config.overhead.eviction_cost_total(
-                            u64::from(summary.evictions),
-                            summary.bytes_evicted,
-                        );
-                        if self.config.charge_unlinks {
-                            self.unlink_overhead += self.config.overhead.unlink_cost_total(
-                                u64::from(summary.unlink_operations),
-                                summary.links_unlinked,
-                            );
-                        }
-                    }
-                }
+                Ok(_) => {}
                 // The miss was still recorded (and is still charged); the
                 // block is simulated as permanently uncached.
-                Err(CacheError::BlockTooLarge { .. }) => {
-                    self.miss_overhead += self.config.overhead.miss_cost(u64::from(size));
-                    self.uncacheable += 1;
-                }
+                Err(CacheError::BlockTooLarge { .. }) => self.uncacheable += 1,
                 Err(e) => return Err(SimError::Cache(e)),
             }
             if self.config.chaining {
@@ -441,7 +409,8 @@ impl<S: CacheSession> SimDriver<S> {
         self.event_idx as u64
     }
 
-    /// Finishes the replay and assembles the result.
+    /// Finishes the replay and assembles the result, charging Eqs. 2–4
+    /// from the session's final statistics.
     ///
     /// # Errors
     ///
@@ -454,14 +423,17 @@ impl<S: CacheSession> SimDriver<S> {
                 self.event_idx, self.event_count
             )));
         }
+        let stats = self.session.stats_snapshot();
+        let (miss_overhead, eviction_overhead, unlink_overhead) =
+            OverheadModel::cgo2004().charge(&stats);
         Ok(SimResult {
             name: self.name,
             granularity_label: self.label,
             capacity: self.session.capacity(),
-            stats: self.session.stats_snapshot(),
-            miss_overhead: self.miss_overhead,
-            eviction_overhead: self.eviction_overhead,
-            unlink_overhead: self.unlink_overhead,
+            stats,
+            miss_overhead,
+            eviction_overhead,
+            unlink_overhead,
             uncacheable: self.uncacheable,
             census_intra_links: self.census_intra,
             census_inter_links: self.census_inter,
@@ -636,27 +608,31 @@ mod tests {
 
     #[test]
     fn unlink_charges_follow_config() {
-        let trace = round_robin(10, 100, 10);
+        // Eq. 4 is always charged, so the chaining switch alone decides
+        // whether there is anything to unlink.
+        let trace = cce_workloads::catalog::by_name("gzip")
+            .unwrap()
+            .trace(0.05, 7);
         let base = SimConfig {
-            granularity: Granularity::units(2),
-            capacity: 500,
+            granularity: Granularity::Superblock,
+            capacity: trace.max_cache_bytes() / 6,
             ..SimConfig::default()
         };
         let with = simulate(&trace, &base).unwrap();
         let without = simulate(
             &trace,
             &SimConfig {
-                charge_unlinks: false,
+                chaining: false,
                 ..base
             },
         )
         .unwrap();
         assert_eq!(without.unlink_overhead, 0.0);
+        assert!(with.unlink_overhead > 0.0);
         assert_eq!(
-            with.stats, without.stats,
-            "charging must not change behaviour"
+            with.stats.misses, without.stats.misses,
+            "links must not change FIFO behaviour"
         );
-        assert!(with.unlink_overhead >= 0.0);
     }
 
     #[test]

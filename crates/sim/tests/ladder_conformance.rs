@@ -1,6 +1,6 @@
 //! Ladder ↔ naive conformance (DESIGN.md §14): the single-pass
 //! configuration-ladder engine must be **byte-identical** to the
-//! per-cell oracle — same `SimResult`s (stats, f64 overheads, census
+//! per-cell oracle — same `SimResult`s (stats, Eq. 2–4 charges, census
 //! counts) and the same settled per-cell event stream — across the
 //! paper's granularity spectrum, a capacity ladder and every pressure
 //! level, on catalog workloads and on randomized traces.
@@ -162,16 +162,6 @@ fn sharded_matrix_conforms_with_chaining_off() {
     assert_sharded_matrix_conforms(&traces, &[1, 2, 3, 8], &base);
 }
 
-#[test]
-fn sharded_matrix_conforms_with_unlink_charging_off() {
-    let traces = vec![catalog::by_name("gcc").unwrap().trace(0.04, 5)];
-    let base = SimConfig {
-        charge_unlinks: false,
-        ..SimConfig::default()
-    };
-    assert_sharded_matrix_conforms(&traces, &[1, 2, 3, 8], &base);
-}
-
 /// Three traces at up to eight workers: each trace's distinct rungs are
 /// dealt over two passes at 4 jobs and three at 8, and no cell may
 /// notice which rungs shared its pass.
@@ -225,24 +215,17 @@ fn per_cell_event_streams_are_byte_identical() {
 }
 
 #[test]
-fn chaining_and_unlink_charging_switches_conform() {
+fn chaining_switch_conforms() {
     let trace = catalog::by_name("crafty").unwrap().trace(0.04, 5);
     let rungs = rungs_for(trace.max_cache_bytes());
-    for base in [
-        SimConfig {
-            chaining: false,
-            ..SimConfig::default()
-        },
-        SimConfig {
-            charge_unlinks: false,
-            ..SimConfig::default()
-        },
-    ] {
-        let results = simulate_ladder_source(&trace, &rungs, &base).unwrap();
-        for (rung, got) in rungs.iter().zip(&results) {
-            let (want, _) = oracle_observed(&trace, *rung, &base);
-            assert_eq!(got, &want);
-        }
+    let base = SimConfig {
+        chaining: false,
+        ..SimConfig::default()
+    };
+    let results = simulate_ladder_source(&trace, &rungs, &base).unwrap();
+    for (rung, got) in rungs.iter().zip(&results) {
+        let (want, _) = oracle_observed(&trace, *rung, &base);
+        assert_eq!(got, &want);
     }
 }
 

@@ -5,10 +5,19 @@
 //! Seeded deterministic sampling with [`cce_util::StdRng`] replaces the
 //! old proptest harness — the build environment is offline.
 
-use cce::core::Granularity;
+use cce::core::shard::shard_capacities;
+use cce::core::{
+    CacheError, CacheEvent, CacheSession, CacheStats, CodeCache, EventBuffer, Granularity,
+    InsertRequest, ShardedCache, SuperblockId,
+};
 use cce::dbt::engine::{Engine, EngineConfig};
+use cce::dbt::{SuperblockInfo, TraceEvent, TraceLog};
+use cce::sim::pressure::{cell_config, TraceSizing, MIN_CAPACITY};
 use cce::sim::simulator::{SimConfig, SimError, SimResult};
-use cce::sim::{EventSource, Replay};
+use cce::sim::{Engine as SweepEngine, EventSource, OverheadModel, Replay};
+use cce::tinyvm::program::Pc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// All replays in this suite are solo; route them through the one
 /// front-door builder and unwrap the single-tenant report.
@@ -72,53 +81,146 @@ fn engine_equals_simulator() {
     }
 }
 
-/// Replay is insensitive to overhead charging: cost models observe,
-/// they never steer.
+/// Replays `trace` at `config`'s geometry over `shards` shards exactly as
+/// the engines do, and sums Eqs. 2–4 event by event over the settled
+/// stream: Eq. 3 per `Miss` (the block's registry size, so uncacheable
+/// blocks count), Eq. 2 per `EvictionBegin…EvictionEnd` run (the bytes
+/// of its `Evicted` blocks), Eq. 4 per `Unlinked` (its survivors).
+/// Misses come from the shards' observers; evictions and unlinks from
+/// the sharded cache's sink, where cross-shard unlinks are merged in.
+fn per_event_reference(
+    trace: &TraceLog,
+    config: &SimConfig,
+    shards: u32,
+) -> (CacheStats, [f64; 3]) {
+    let sizes: HashMap<SuperblockId, u32> =
+        trace.superblocks.iter().map(|s| (s.id, s.size)).collect();
+    let missed = Arc::new(Mutex::new(Vec::new()));
+    let lanes = shard_capacities(config.capacity, shards)
+        .into_iter()
+        .map(|capacity| {
+            let mut lane = CodeCache::with_granularity(config.granularity, capacity).unwrap();
+            let log = Arc::clone(&missed);
+            lane.set_observer(Box::new(move |ev: CacheEvent| {
+                if let CacheEvent::Miss { id, .. } = ev {
+                    log.lock().unwrap().push(id);
+                }
+            }));
+            lane
+        })
+        .collect();
+    let mut cache = ShardedCache::new(lanes).unwrap();
+    let mut settled = EventBuffer::new();
+    for &TraceEvent::Access { id, direct_from } in &trace.events {
+        let hint = direct_from.filter(|f| cache.is_resident(*f));
+        let req = InsertRequest::new(id, sizes[&id]).with_hint(hint);
+        match cache.access_or_insert(req, &mut settled) {
+            Ok(_) | Err(CacheError::BlockTooLarge { .. }) => {}
+            Err(e) => panic!("{e}"),
+        }
+        if let Some(from) = direct_from {
+            if config.chaining && cache.is_resident(from) && cache.is_resident(id) {
+                cache.link(from, id).unwrap();
+            }
+        }
+    }
+    let model = OverheadModel::cgo2004();
+    let mut sums = [0.0; 3];
+    for id in missed.lock().unwrap().iter() {
+        sums[0] += model.miss_cost(u64::from(sizes[id]));
+    }
+    let mut run_bytes = 0;
+    for ev in settled.events() {
+        match *ev {
+            CacheEvent::EvictionBegin => run_bytes = 0,
+            CacheEvent::Evicted { size, .. } => run_bytes += u64::from(size),
+            CacheEvent::EvictionEnd { .. } => sums[1] += model.eviction_cost(run_bytes),
+            CacheEvent::Unlinked { links, .. } => sums[2] += model.unlink_cost(links),
+            _ => {}
+        }
+    }
+    (cache.stats_snapshot(), sums)
+}
+
+/// Adds a block no cache at pressure 4 can hold (it outweighs the rest
+/// of the trace and the capacity floor) and touches it every 997
+/// events.
+fn add_uncacheable_block(trace: &mut TraceLog) {
+    let id = SuperblockId(trace.superblocks.len() as u64);
+    trace.record_superblock(SuperblockInfo {
+        id,
+        head_pc: Pc(u64::MAX / 2),
+        size: u32::try_from(trace.max_cache_bytes() + MIN_CAPACITY).unwrap(),
+        guest_blocks: 1,
+        exits: 0,
+    });
+    let touch = TraceEvent::Access {
+        id,
+        direct_from: None,
+    };
+    trace.events = trace
+        .events
+        .chunks(997)
+        .flat_map(|chunk| chunk.iter().copied().chain([touch]))
+        .collect();
+}
+
+/// Eqs. 2–4, charged once from a run's counters, equal their per-event
+/// sum over the settled stream on both engines at 1–3 shards, including
+/// traces with uncacheable blocks. Cost models observe, they never
+/// steer: the observed reference replay has the engines' exact stats.
 #[test]
 fn overhead_charging_never_changes_behaviour() {
     let names = ["gzip", "mcf", "bzip2", "pinball"];
+    let shard_counts = [1u32, 2, 3];
     for case in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0x1A7E_6002 ^ case);
         let name = names[rng.gen_range(0..names.len())];
         let granularity = random_granularity(&mut rng);
         let seed = rng.gen_range(0..50u64);
 
-        let trace = cce::workloads::by_name(name).unwrap().trace(0.1, seed);
-        let capacity = (trace.max_cache_bytes() / 4).max(4096);
-        let with = simulate(
-            &trace,
-            &SimConfig {
-                granularity,
-                capacity,
-                charge_unlinks: true,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        let without = simulate(
-            &trace,
-            &SimConfig {
-                granularity,
-                capacity,
-                charge_unlinks: false,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        let ctx = format!("{name} seed {seed} ({granularity})");
-        assert_eq!(with.stats, without.stats, "{ctx}");
-        assert_eq!(without.unlink_overhead, 0.0, "{ctx}");
-        assert!(with.unlink_overhead >= 0.0, "{ctx}");
-        // Eq. 3 lower bound: every miss costs at least the intercept.
-        assert!(
-            with.miss_overhead >= with.stats.misses as f64 * 1922.0,
-            "{ctx}"
-        );
-        // Eq. 2 lower bound: every invocation costs at least the intercept.
-        assert!(
-            with.eviction_overhead >= with.stats.eviction_invocations as f64 * 3055.0,
-            "{ctx}"
-        );
+        let mut trace = cce::workloads::by_name(name).unwrap().trace(0.1, seed);
+        // Odd cases only: the oversized block clamps every unit count
+        // to one, so even cases keep the multi-unit geometries.
+        if case % 2 == 1 {
+            add_uncacheable_block(&mut trace);
+        }
+        let matrix = |engine| {
+            Replay::matrix(std::slice::from_ref(&trace))
+                .granularities(&[granularity])
+                .pressures(&[4])
+                .shard_counts(&shard_counts)
+                .engine(engine)
+                .run()
+                .unwrap()
+        };
+        let (naive, ladder) = (matrix(SweepEngine::Naive), matrix(SweepEngine::Ladder));
+        let sizing = TraceSizing::of(&trace);
+        for ((n, l), shards) in naive.iter().zip(&ladder).zip(shard_counts) {
+            let config = cell_config(sizing, granularity, 4, shards, &SimConfig::default());
+            let (stats, want) = per_event_reference(&trace, &config, shards);
+            let ctx = format!("{name} seed {seed} ({granularity}, {shards} shards)");
+            if case % 2 == 1 {
+                assert!(
+                    stats.misses > stats.insertions,
+                    "{ctx}: nothing uncacheable"
+                );
+            }
+            for r in [&n.result, &l.result] {
+                assert_eq!(r.stats, stats, "{ctx}");
+                let got = [r.miss_overhead, r.eviction_overhead, r.unlink_overhead];
+                for (g, w) in got.into_iter().zip(want) {
+                    assert!((g - w).abs() <= 1e-12 * w.abs(), "{ctx}: {g} vs {w}");
+                }
+                // Eq. 3 lower bound: every miss costs at least the intercept.
+                assert!(r.miss_overhead >= r.stats.misses as f64 * 1922.0, "{ctx}");
+                // Eq. 2 lower bound: every invocation costs at least the intercept.
+                assert!(
+                    r.eviction_overhead >= r.stats.eviction_invocations as f64 * 3055.0,
+                    "{ctx}"
+                );
+            }
+        }
     }
 }
 

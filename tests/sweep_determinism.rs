@@ -50,10 +50,7 @@ fn jobs_1_and_jobs_4_render_byte_identical_reports() {
         Granularity::Superblock,
     ];
     let ps = [2, 5, 10];
-    let base = SimConfig {
-        charge_unlinks: true,
-        ..SimConfig::default()
-    };
+    let base = SimConfig::default();
 
     let matrix = |jobs| {
         Replay::matrix(&traces)
