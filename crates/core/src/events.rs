@@ -2,12 +2,12 @@
 //!
 //! Historically every [`crate::CacheOrg::insert`] heap-allocated a
 //! `RawInsert` holding `Vec<RawEviction>` values, and each consumer
-//! (the [`crate::CodeCache`] bookkeeping, the DBT engine's stub
-//! patching, the simulator's Eq. 2–4 overhead charging) re-walked those
-//! vectors. The event layer inverts that: an organization *streams*
-//! [`CacheEvent`]s into a caller-supplied [`EventSink`], the cache
-//! settles them in a single traversal, and downstream layers consume a
-//! compact [`crate::InsertSummary`] or subscribe via
+//! (the [`crate::CodeCache`] bookkeeping, the simulator's Eq. 2–4
+//! overhead charging) re-walked those vectors. The event layer inverts
+//! that: an organization *streams* [`CacheEvent`]s into a
+//! caller-supplied [`EventSink`], the cache settles them in a single
+//! traversal, and downstream layers consume a compact
+//! [`crate::InsertSummary`] or subscribe via
 //! [`crate::CodeCache::set_observer`]. In steady state the only storage
 //! touched is a reusable scratch [`EventBuffer`] — no per-insert heap
 //! allocation.

@@ -15,9 +15,9 @@
 //! [`CacheSession::flush_report`]) are provided methods, so
 //! [`CodeCache`], [`crate::shard::ShardedCache`] and the per-tenant
 //! [`crate::concurrent::TenantSession`] expose them for free.
-//! `cce_sim::simulator` and `cce_dbt::engine` drive any of the three
-//! through this trait; the legacy `CodeCache` quintet of shims has been
-//! deleted — [`CodeCache::insert_request`] is the one insert core.
+//! `cce_sim::simulator` drives any of the three through this trait;
+//! the legacy `CodeCache` quintet of shims has been deleted —
+//! [`CodeCache::insert_request`] is the one insert core.
 
 use crate::cache::{AccessResult, CodeCache, EvictionReport, InsertReport, InsertSummary};
 use crate::error::CacheError;

@@ -25,10 +25,10 @@
 //! giving each its own `ShardedCache` behind one tenant lock, so the
 //! sharded and concurrent paths run the same routing and cross-shard
 //! arithmetic and cannot drift apart. The type implements
-//! [`CacheSession`], so `cce_sim::simulator` and `cce_dbt::engine` drive
-//! a sharded cache and a bare [`CodeCache`] through the same trait. With
-//! N=1 every request passes straight through to the one lane and the
-//! event stream is byte-identical to a bare cache (enforced by
+//! [`CacheSession`], so `cce_sim::simulator` drives a sharded cache and
+//! a bare [`CodeCache`] through the same trait. With N=1 every request
+//! passes straight through to the one lane and the event stream is
+//! byte-identical to a bare cache (enforced by
 //! [`crate::testutil::assert_sessions_equivalent`] and the conformance
 //! suite in `tests/shard_conformance.rs`).
 

@@ -11,8 +11,10 @@
 //!   code — the cost the paper blames for Table 2's slowdowns), looks up
 //!   the hash table, and context-switches back in.
 //!
-//! [`DispatchStats`] counts those events; `cce-sim`'s execution-time model
-//! turns them into instruction and wall-clock estimates.
+//! [`DispatchStats`] counts those events. Its producer, the
+//! from-scratch translator, has been deleted; nothing in the workspace
+//! fills these counters any more, and the module is slated for removal
+//! with the rest of the guest substrate.
 
 /// Counters for the dispatch-path events of one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

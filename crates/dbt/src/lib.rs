@@ -1,101 +1,59 @@
-//! # cce-dbt — a from-scratch dynamic binary translator over TinyVM
+//! # cce-dbt — the code-cache access trace and its wire formats
 //!
-//! This crate stands in for DynamoRIO in the reproduced study. It executes
-//! a [`cce_tinyvm::Program`] under observation and performs the four tasks
-//! of a dynamic optimization system (paper §1):
+//! The paper drove its cache simulator from saved DynamoRIO logs (§4.1):
+//! one record per superblock (id, size) and one event per superblock
+//! entry, annotated with whether the entry came *directly* from another
+//! superblock's exit (a chainable transition). This crate holds that
+//! log and its codecs; `cce-workloads` produces the logs from calibrated
+//! statistical models and `cce-sim` replays them against caches of every
+//! granularity.
 //!
-//! 1. **Profiling** ([`profile`]) — counts executions of candidate trace
-//!    heads until they cross the hotness threshold (50, as in DynamoRIO).
-//! 2. **Superblock formation** ([`formation`]) — NET-style
-//!    next-executing-tail selection: record the dynamically executed block
-//!    sequence after a head goes hot, stopping at backward branches,
-//!    existing superblock heads, returns and indirect jumps.
-//! 3. **Translation** ([`translate`]) — computes the translated size of a
-//!    superblock (code expansion plus exit stubs), which is what the code
-//!    cache actually stores.
-//! 4. **Caching and chaining** ([`engine`]) — inserts superblocks into a
-//!    [`cce_core::CodeCache`], patches direct superblock→superblock
-//!    transitions into links, and counts the dispatch events that the
-//!    execution-time models in `cce-sim` consume.
-//!
-//! The engine emits a [`trace_log::TraceLog`] — the analogue of the
-//! DynamoRIO verbose log the paper saved and replayed: one record per
-//! superblock (id, size) and one event per superblock entry, annotated
-//! with whether the entry came *directly* from another superblock's exit
-//! (a chainable transition). `cce-sim` replays these logs against caches
-//! of every granularity.
+//! * [`trace_log`] — the in-memory [`TraceLog`], its summaries and the
+//!   JSON save/load format;
+//! * [`trace_bin`] — the chunked, CRC-checked binary format and the
+//!   streaming [`TraceReader`] (DESIGN.md §11);
+//! * [`stream`] — the same framing over a live byte stream, with
+//!   per-frame recovery (DESIGN.md §13);
+//! * [`dispatch`] — the dispatch-path counters of the deleted
+//!   translator, unused and slated for removal.
 //!
 //! # Example
 //!
 //! ```
-//! use cce_dbt::engine::{Engine, EngineConfig};
-//! use cce_tinyvm::gen::{generate, GenConfig};
+//! use cce_core::SuperblockId;
+//! use cce_dbt::trace_bin::{load_binary, save_binary};
+//! use cce_dbt::{SuperblockInfo, TraceLog};
+//! use cce_tinyvm::Pc;
 //!
-//! let program = generate(&GenConfig::small(11));
-//! let mut config = EngineConfig::default();
-//! config.hot_threshold = 2; // the demo program is tiny; go hot quickly
-//! let mut engine = Engine::new(&program, config)?;
-//! let summary = engine.run(5_000_000);
-//! assert!(summary.superblocks_formed > 0);
-//! # Ok::<(), cce_dbt::DbtError>(())
+//! let mut log = TraceLog::new("demo");
+//! for i in 0..2u64 {
+//!     log.record_superblock(SuperblockInfo {
+//!         id: SuperblockId(i),
+//!         head_pc: Pc(0x1000 + 64 * i),
+//!         size: 230,
+//!         guest_blocks: 3,
+//!         exits: 2,
+//!     });
+//! }
+//! log.record_access(SuperblockId(0), None);
+//! log.record_access(SuperblockId(1), Some(SuperblockId(0)));
+//!
+//! let mut json = Vec::new();
+//! log.save(&mut json)?;
+//! let mut bin = Vec::new();
+//! save_binary(&log, &mut bin)?;
+//! assert_eq!(TraceLog::load(json.as_slice())?, log);
+//! assert_eq!(load_binary(bin.as_slice())?, log);
+//! # Ok::<(), cce_dbt::trace_log::TraceLogError>(())
 //! ```
 
 #![deny(unsafe_code)]
 
-pub mod codegen;
 pub mod dispatch;
-pub mod engine;
-pub mod formation;
-pub mod hashtable;
-pub mod profile;
 pub mod stream;
-pub mod superblock;
 pub mod trace_bin;
 pub mod trace_log;
-pub mod translate;
 
-pub use engine::{Engine, EngineConfig, RunSummary};
 pub use stream::{FrameStream, StreamFrame, StreamWriter};
-pub use superblock::Superblock;
 pub use trace_bin::{SharedTrace, TraceReader};
 pub use trace_log::{SuperblockInfo, TraceEvent, TraceLog};
-pub use translate::TranslationConfig;
-
-use std::error::Error;
-use std::fmt;
-
-/// Errors produced while configuring or running the translator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DbtError {
-    /// The underlying code cache rejected its geometry.
-    Cache(cce_core::CacheError),
-    /// A configuration field was invalid.
-    InvalidConfig(&'static str),
-    /// A trace-log file could not be parsed.
-    MalformedLog(String),
-}
-
-impl fmt::Display for DbtError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DbtError::Cache(e) => write!(f, "code cache error: {e}"),
-            DbtError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
-            DbtError::MalformedLog(what) => write!(f, "malformed trace log: {what}"),
-        }
-    }
-}
-
-impl Error for DbtError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            DbtError::Cache(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<cce_core::CacheError> for DbtError {
-    fn from(e: cce_core::CacheError) -> DbtError {
-        DbtError::Cache(e)
-    }
-}

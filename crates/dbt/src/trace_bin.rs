@@ -31,7 +31,7 @@
 //! instead of a silently wrong figure. The explicit terminator makes
 //! truncation at a frame boundary detectable too. All integers are
 //! varints ([`cce_util::varint`]): superblock ids and sizes are small,
-//! so real logs shrink ~4× against the JSON form. Storing `event_count`
+//! so workload logs shrink ~4× against the JSON form. Storing `event_count`
 //! in the header lets streaming replay place its periodic link-graph
 //! censuses exactly where in-memory replay does — byte-identical
 //! results at any chunk size.

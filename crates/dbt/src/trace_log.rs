@@ -83,9 +83,9 @@ pub struct TraceSummary {
 /// A prebuilt id → registry-position map, replacing per-lookup linear
 /// scans of the superblock registry.
 ///
-/// Every in-repo trace producer (the DBT engine, the workload models,
-/// the mixer) assigns ids `0..n` in formation order, so the common case
-/// is a dense table indexed by `id - min_id`. Registries whose id space
+/// Every in-repo trace producer (the workload models, the mixer)
+/// assigns ids `0..n` in formation order, so the common case is a dense
+/// table indexed by `id - min_id`. Registries whose id space
 /// is sparse (hand-edited logs, merged id ranges) fall back to a sorted
 /// array with binary-search lookups. Both representations are
 /// deterministic; on duplicate ids the *first* registry entry wins,
@@ -430,7 +430,7 @@ impl TraceLog {
     }
 
     /// Builds the id → registry-position index for repeated lookups
-    /// (replay, summaries, the DBT engine's size queries).
+    /// (replay, summaries).
     #[must_use]
     pub fn index(&self) -> SuperblockIndex {
         SuperblockIndex::build(&self.superblocks)

@@ -1,15 +1,15 @@
-//! Instrumented-measurement campaigns — the PAPI substitute.
+//! Synthetic measurement campaigns for Figure 9's regression sanity
+//! check.
 //!
 //! The paper inserted PAPI hardware counters around DynamoRIO's eviction,
 //! regeneration and unlink routines, collected >10 000 samples, and fit
-//! least-squares trendlines (Figure 9 → Eqs. 2–4). We have no PAPI and no
-//! DynamoRIO; instead, each routine of *our* DBT is modelled as an
-//! instrumented routine whose instruction count is its true linear cost
-//! plus measurement noise (cache effects, interrupts, counter skid). A
-//! campaign samples the routine across realistic input sizes; the
-//! regression in [`crate::regression`] then recovers the underlying
-//! model — demonstrating the paper's methodology end to end and
-//! validating that the recovered constants match the configured ones.
+//! least-squares trendlines (Figure 9 → Eqs. 2–4). We have no PAPI, no
+//! DynamoRIO and no translator of our own to measure. A campaign instead
+//! draws synthetic samples around a given linear model (by default the
+//! paper's own Eqs. 2–4) with Gaussian noise, across realistic input
+//! sizes. Fitting them with [`crate::regression`] recovers the model it
+//! was drawn from by construction, so Figure 9 checks the regression
+//! code, not any cost of ours.
 
 use crate::overhead::{LinearModel, OverheadModel};
 use cce_util::{Rng, StdRng};
@@ -46,8 +46,8 @@ pub struct Campaign {
 
 impl Campaign {
     /// A campaign whose true costs are the paper's measured models, with
-    /// 8% relative noise — re-running the regression on its samples
-    /// reproduces Figure 9.
+    /// 8% relative noise: the regression on its samples must give back
+    /// Eqs. 2–4.
     #[must_use]
     pub fn dynamorio_like() -> Campaign {
         let m = OverheadModel::cgo2004();

@@ -1,7 +1,7 @@
 //! Trace-driven code-cache simulation.
 //!
-//! The simulator replays a [`TraceLog`] — from the real DBT engine or
-//! from the statistical workload models — against a fresh cache at one
+//! The simulator replays a [`TraceLog`] — from the statistical workload
+//! models or a saved log — against a fresh cache at one
 //! (granularity, capacity) point, charging the [`OverheadModel`] for every
 //! miss, eviction invocation and unlink operation (once, from the run's
 //! final statistics: Eqs. 2–4 are linear). This is the paper's

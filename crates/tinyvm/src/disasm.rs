@@ -1,7 +1,6 @@
 //! Textual disassembly of programs, blocks and instructions.
 //!
-//! Mainly a debugging aid: `cce-dbt` logs superblock contents through these
-//! formatters, and the examples print small programs with them.
+//! A debugging aid for printing small programs.
 
 use crate::isa::Instr;
 use crate::program::{BasicBlock, Program, Terminator};

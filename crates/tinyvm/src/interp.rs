@@ -1,8 +1,8 @@
 //! A deterministic block-stepping interpreter with observation hooks.
 //!
 //! The interpreter executes a [`Program`] basic block at a time. Before each
-//! block's body runs, an optional [`ExecObserver`] is notified — this is the
-//! hook the dynamic binary translator uses for execution profiling and
+//! block's body runs, an optional [`ExecObserver`] is notified — the hook a
+//! dynamic binary translator would use for execution profiling and
 //! superblock formation without the interpreter knowing anything about
 //! caching.
 

@@ -8,11 +8,13 @@
 //! program generators ([`gen`]), and a disassembler ([`disasm`]).
 //!
 //! The paper this workspace reproduces drove its cache simulator with the
-//! verbose logs of DynamoRIO executing real binaries. We do not have real
-//! binaries, so this crate stands in for "the guest program": it produces
-//! executable control flow with loops, calls, phases and data-dependent
-//! branches, which `cce-dbt` then profiles, forms into superblocks and
-//! caches — yielding the same kind of access/link trace the paper used.
+//! verbose logs of DynamoRIO executing real binaries. This crate was the
+//! guest side of a from-scratch translator that has since been deleted:
+//! every trace the simulator, the figures and the benchmark consume now
+//! comes from the statistical models in `cce-workloads`. Only
+//! [`program::Pc`], the head address recorded in `cce-dbt`'s trace
+//! registry, is used outside this crate; the rest is unused and is
+//! slated for removal.
 //!
 //! # Example
 //!

@@ -4,8 +4,8 @@
 //! explicit [`Terminator`]s. After construction the program is *laid out*:
 //! every block receives a byte address ([`Pc`]) as if the program had been
 //! assembled into a flat image, and every block knows its encoded byte
-//! length. Those addresses and lengths are exactly what the dynamic binary
-//! translator profiles and what gives superblocks their variable sizes.
+//! length. Those addresses and lengths are what a dynamic binary translator
+//! would profile and what would give its superblocks their variable sizes.
 
 use crate::isa::{Cond, Instr, Reg};
 use std::collections::BTreeMap;

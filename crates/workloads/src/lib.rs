@@ -15,10 +15,9 @@
 //!
 //! plus a phased loop-nest access generator ([`access`]) that produces the
 //! temporal locality and working-set shifts that make eviction policies
-//! differ. The output is a [`cce_dbt::TraceLog`] — byte-identical in kind
-//! to what the real DBT engine in `cce-dbt` emits from executed TinyVM
-//! programs, so the simulator treats modelled and executed workloads
-//! interchangeably.
+//! differ. The output is a [`cce_dbt::TraceLog`], the analogue of the
+//! DynamoRIO log the paper saved and replayed: every trace the
+//! simulator, the figures and the benchmark consume comes from here.
 //!
 //! # Example
 //!

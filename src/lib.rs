@@ -7,12 +7,14 @@
 //! * [`core`] — the software code cache with the FLUSH /
 //!   N-unit FIFO / fine-FIFO eviction spectrum, chaining and back-pointer
 //!   bookkeeping (the paper's contribution);
-//! * [`tinyvm`] — the guest ISA, interpreter and program
-//!   generators;
-//! * [`dbt`] — the dynamic binary translator (profiling, NET
-//!   superblock formation, translation, chaining, trace logs);
-//! * [`workloads`] — the paper's 20 benchmarks as
-//!   calibrated statistical models;
+//! * [`dbt`] — the code-cache access trace (the analogue of the
+//!   DynamoRIO log the paper replayed) and its JSON, binary and
+//!   live-stream formats;
+//! * [`tinyvm`] — the guest address type the trace registry records,
+//!   plus the guest ISA, interpreter and program generators of the
+//!   deleted translator (unused, slated for removal);
+//! * [`workloads`] — the paper's 20 benchmarks as calibrated
+//!   statistical models, the source of every trace;
 //! * [`sim`] — trace-driven simulation, the Eq. 2–4 overhead
 //!   models, regression, pressure sweeps and execution-time estimates.
 //!

@@ -1,11 +1,12 @@
-//! Cross-crate integration: the DBT engine, the trace log and the
-//! simulator must agree with each other exactly.
+//! Cross-crate integration: a workload log saved to disk and loaded back
+//! must replay through the simulator exactly as the in-memory log does.
 
 use cce::core::Granularity;
-use cce::dbt::engine::{Engine, EngineConfig};
 use cce::dbt::TraceLog;
+use cce::sim::pressure::capacity_for_pressure;
 use cce::sim::simulator::{SimConfig, SimError, SimResult};
 use cce::sim::{EventSource, Replay};
+use cce::workloads::catalog;
 
 /// All replays in this suite are solo; route them through the one
 /// front-door builder and unwrap the single-tenant report.
@@ -15,84 +16,12 @@ fn simulate<T: EventSource>(trace: &T, config: &SimConfig) -> Result<SimResult, 
         .run()
         .map(cce::sim::ReplayReport::into_solo)
 }
-use cce::tinyvm::gen::{generate, GenConfig};
-use cce::tinyvm::interp::{Interp, StopReason};
-
-fn engine_config(granularity: Granularity, capacity: Option<u64>) -> EngineConfig {
-    EngineConfig {
-        hot_threshold: 2,
-        granularity,
-        cache_capacity: capacity,
-        ..EngineConfig::default()
-    }
-}
-
-/// Replaying the engine's own trace log through the simulator at the same
-/// cache geometry must reproduce the engine's cache statistics bit for
-/// bit — the engine *is* a trace-driven simulation of its own execution.
-#[test]
-fn simulator_replay_matches_engine_statistics() {
-    let program = generate(&GenConfig::small(21));
-    // First, learn the footprint.
-    let mut probe = Engine::new(&program, engine_config(Granularity::Superblock, None)).unwrap();
-    let unbounded = probe.run(50_000_000);
-    assert!(unbounded.max_cache_bytes > 0);
-
-    for granularity in [
-        Granularity::Flush,
-        Granularity::units(4),
-        Granularity::Superblock,
-    ] {
-        let capacity = (unbounded.max_cache_bytes / 3).max(4096);
-        let mut engine = Engine::new(&program, engine_config(granularity, Some(capacity))).unwrap();
-        let run = engine.run(50_000_000);
-        let trace = engine.into_trace();
-
-        let sim = simulate(
-            &trace,
-            &SimConfig {
-                granularity,
-                capacity,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            sim.stats, run.cache_stats,
-            "{granularity}: simulator replay diverged from the live engine"
-        );
-    }
-}
-
-/// Guest architectural state is independent of every cache decision: the
-/// DBT must be transparent (the whole premise of dynamic optimization).
-#[test]
-fn dbt_is_transparent_to_guest_execution() {
-    let program = generate(&GenConfig::small(22));
-    let mut reference = Interp::new(&program);
-    assert_eq!(reference.run(50_000_000), StopReason::Halted);
-
-    for (granularity, capacity) in [
-        (Granularity::Flush, Some(8192u64)),
-        (Granularity::units(8), Some(16384)),
-        (Granularity::Superblock, None),
-    ] {
-        let mut engine = Engine::new(&program, engine_config(granularity, capacity)).unwrap();
-        let run = engine.run(50_000_000);
-        assert_eq!(run.stop, StopReason::Halted);
-        assert_eq!(run.guest_instructions, reference.instructions_retired());
-        assert_eq!(run.blocks_entered, reference.blocks_entered());
-    }
-}
 
 /// Save → load → replay gives identical results (the paper's log-reuse
 /// methodology).
 #[test]
 fn saved_logs_replay_identically() {
-    let program = generate(&GenConfig::small(23));
-    let mut engine = Engine::new(&program, engine_config(Granularity::Superblock, None)).unwrap();
-    let _ = engine.run(50_000_000);
-    let trace = engine.into_trace();
+    let trace = catalog::by_name("gzip").unwrap().trace(0.08, 23);
 
     let mut buf = Vec::new();
     trace.save(&mut buf).unwrap();
@@ -101,70 +30,11 @@ fn saved_logs_replay_identically() {
 
     let cfg = SimConfig {
         granularity: Granularity::units(2),
-        capacity: (trace.max_cache_bytes() / 2).max(4096),
+        capacity: capacity_for_pressure(trace.max_cache_bytes(), 2),
         ..SimConfig::default()
     };
     assert_eq!(
         simulate(&trace, &cfg).unwrap(),
         simulate(&reloaded, &cfg).unwrap()
-    );
-}
-
-/// Workload-model traces and engine traces are interchangeable for the
-/// simulator (same schema, same replay semantics).
-#[test]
-fn model_traces_and_engine_traces_share_the_pipeline() {
-    let model_trace = cce::workloads::by_name("mcf").unwrap().trace(0.2, 9);
-    let program = generate(&GenConfig::small(24));
-    let mut engine = Engine::new(&program, engine_config(Granularity::Superblock, None)).unwrap();
-    let _ = engine.run(50_000_000);
-    let engine_trace = engine.into_trace();
-
-    for trace in [&model_trace, &engine_trace] {
-        let cfg = SimConfig {
-            granularity: Granularity::units(4),
-            capacity: (trace.max_cache_bytes() / 2).max(4096),
-            ..SimConfig::default()
-        };
-        let r = simulate(trace, &cfg).unwrap();
-        assert!(r.stats.accesses > 0);
-        assert_eq!(r.stats.accesses, trace.events.len() as u64);
-        assert_eq!(
-            r.stats.misses,
-            r.stats.cold_misses + r.stats.capacity_misses
-        );
-    }
-}
-
-/// Chaining changes dispatch economics, never guest results or miss
-/// accounting of the underlying accesses.
-#[test]
-fn chaining_toggle_preserves_access_stream() {
-    // Needs loops hot enough to re-run transitions after linking; the
-    // default generator config iterates plenty.
-    let program = generate(&GenConfig {
-        seed: 25,
-        ..GenConfig::default()
-    });
-    let run = |chaining: bool| {
-        let mut cfg = engine_config(Granularity::Superblock, None);
-        cfg.chaining = chaining;
-        let mut engine = Engine::new(&program, cfg).unwrap();
-        let summary = engine.run(50_000_000);
-        (summary, engine.into_trace())
-    };
-    let (with, trace_with) = run(true);
-    let (without, trace_without) = run(false);
-    // The trace (what the program did) is identical; only link stats and
-    // dispatch economics differ.
-    assert_eq!(trace_with, trace_without);
-    assert_eq!(with.cache_stats.accesses, without.cache_stats.accesses);
-    assert_eq!(with.cache_stats.misses, without.cache_stats.misses);
-    assert_eq!(without.cache_stats.links_created, 0);
-    assert_eq!(without.dispatch.linked_entries, 0);
-    assert!(with.dispatch.linked_entries > 0);
-    assert!(
-        with.dispatch.dispatched_entries < without.dispatch.dispatched_entries,
-        "chaining must reduce dispatcher traffic"
     );
 }

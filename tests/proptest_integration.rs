@@ -1,6 +1,5 @@
-//! Workspace-level randomized tests: the engine/simulator equivalence
-//! and the trace-replay invariants must hold for arbitrary programs,
-//! cache geometries and workload scales.
+//! Workspace-level randomized tests: the trace-replay invariants must
+//! hold for arbitrary traces, cache geometries and workload scales.
 //!
 //! Seeded deterministic sampling with [`cce_util::StdRng`] replaces the
 //! old proptest harness — the build environment is offline.
@@ -10,74 +9,20 @@ use cce::core::{
     CacheError, CacheEvent, CacheSession, CacheStats, CodeCache, EventBuffer, Granularity,
     InsertRequest, ShardedCache, SuperblockId,
 };
-use cce::dbt::engine::{Engine, EngineConfig};
 use cce::dbt::{SuperblockInfo, TraceEvent, TraceLog};
 use cce::sim::pressure::{cell_config, TraceSizing, MIN_CAPACITY};
-use cce::sim::simulator::{SimConfig, SimError, SimResult};
-use cce::sim::{Engine as SweepEngine, EventSource, OverheadModel, Replay};
+use cce::sim::simulator::SimConfig;
+use cce::sim::{Engine as SweepEngine, OverheadModel, Replay};
 use cce::tinyvm::program::Pc;
+use cce_util::{Rng, StdRng};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-
-/// All replays in this suite are solo; route them through the one
-/// front-door builder and unwrap the single-tenant report.
-fn simulate<T: EventSource>(trace: &T, config: &SimConfig) -> Result<SimResult, SimError> {
-    Replay::new(trace)
-        .config(config)
-        .run()
-        .map(cce::sim::ReplayReport::into_solo)
-}
-use cce::tinyvm::gen::{generate, GenConfig};
-use cce_util::{Rng, StdRng};
 
 fn random_granularity(rng: &mut StdRng) -> Granularity {
     match rng.gen_range(0..9u32) {
         0 => Granularity::Flush,
         8 => Granularity::Superblock,
         p => Granularity::units(1 << p),
-    }
-}
-
-/// The live engine and the trace-driven simulator are the same
-/// semantics, for any program and any cache geometry.
-#[test]
-fn engine_equals_simulator() {
-    for case in 0..24u64 {
-        let mut rng = StdRng::seed_from_u64(0x1A7E_6001 ^ case);
-        let seed = rng.gen_range(0..1000u64);
-        let granularity = random_granularity(&mut rng);
-        let pressure = rng.gen_range(2..8u64);
-        let threshold = rng.gen_range(2..6u32);
-
-        let program = generate(&GenConfig::small(seed));
-        let probe_cfg = EngineConfig {
-            hot_threshold: threshold,
-            ..EngineConfig::default()
-        };
-        let mut probe = Engine::new(&program, probe_cfg.clone()).unwrap();
-        let unbounded = probe.run(20_000_000);
-        if unbounded.superblocks_formed == 0 {
-            continue;
-        }
-
-        let capacity = (unbounded.max_cache_bytes / pressure).max(2048);
-        let mut cfg = probe_cfg;
-        cfg.granularity = granularity;
-        cfg.cache_capacity = Some(capacity);
-        let mut engine = Engine::new(&program, cfg).unwrap();
-        let run = engine.run(20_000_000);
-        let trace = engine.into_trace();
-
-        let sim = simulate(
-            &trace,
-            &SimConfig {
-                granularity,
-                capacity,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(sim.stats, run.cache_stats, "case {case} ({granularity})");
     }
 }
 

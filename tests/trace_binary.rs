@@ -1,25 +1,19 @@
 //! Integration tests for the chunked binary trace format (DESIGN.md
-//! §11) on *real* DBT-produced logs — the unit tests in `trace_bin`
-//! cover synthetic traces; these run the actual engine and round-trip
-//! whatever it emits.
+//! §11) on workload logs — the unit tests in `trace_bin` cover small
+//! hand-built traces; these take whole logs out of the calibrated
+//! `cce-workloads` models (the only trace producer in the workspace) and
+//! round-trip whatever they emit.
 
-use cce_dbt::engine::{Engine, EngineConfig};
-use cce_dbt::trace_bin::{self, TraceReader, VERSION};
-use cce_dbt::trace_log::TraceLogError;
-use cce_dbt::TraceLog;
-use cce_tinyvm::gen::{generate, GenConfig};
+use cce::dbt::trace_bin::{self, TraceReader, VERSION};
+use cce::dbt::trace_log::TraceLogError;
+use cce::dbt::TraceLog;
+use cce::workloads::catalog;
 
-/// A real trace out of the DBT: generate a guest program, run it hot,
-/// and take the engine's log.
-fn real_trace(seed: u64) -> TraceLog {
-    let program = generate(&GenConfig::small(seed));
-    let config = EngineConfig {
-        hot_threshold: 2,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(&program, config).expect("engine config is valid");
-    engine.run(2_000_000);
-    engine.into_trace()
+/// A workload log, as `cce-experiments trace` would save it.
+fn real_trace(bench: &str) -> TraceLog {
+    catalog::by_name(bench)
+        .expect("benchmark is in the catalog")
+        .trace(0.05, 3)
 }
 
 fn to_binary(log: &TraceLog, chunk: usize) -> Vec<u8> {
@@ -30,18 +24,18 @@ fn to_binary(log: &TraceLog, chunk: usize) -> Vec<u8> {
 
 #[test]
 fn dbt_logs_roundtrip_through_binary() {
-    for seed in [3u64, 11, 29] {
-        let log = real_trace(seed);
-        assert!(!log.events.is_empty(), "seed {seed} produced no events");
+    for bench in ["gzip", "mcf", "gcc"] {
+        let log = real_trace(bench);
+        assert!(!log.events.is_empty(), "{bench} produced no events");
         let bytes = to_binary(&log, 4096);
         let back = trace_bin::load_binary(bytes.as_slice()).unwrap();
-        assert_eq!(back, log, "seed {seed}");
+        assert_eq!(back, log, "{bench}");
     }
 }
 
 #[test]
 fn json_and_binary_encode_the_same_log() {
-    let log = real_trace(7);
+    let log = real_trace("gzip");
     let mut json = Vec::new();
     log.save(&mut json).unwrap();
     let via_json = TraceLog::load(json.as_slice()).unwrap();
@@ -50,20 +44,19 @@ fn json_and_binary_encode_the_same_log() {
     // And the binary encoding is materially smaller.
     assert!(
         to_binary(&log, trace_bin::DEFAULT_CHUNK_EVENTS).len() * 2 < json.len(),
-        "binary should be at least 2x smaller than JSON on real logs"
+        "binary should be at least 2x smaller than JSON"
     );
 }
 
 #[test]
 fn streaming_reader_matches_sequential_load_on_real_logs() {
-    let log = real_trace(13);
-    let bytes = to_binary(&log, 777);
-    let mut reader = TraceReader::new(std::io::Cursor::new(bytes)).unwrap();
-    assert_eq!(reader.name(), log.name);
-    assert_eq!(reader.event_count(), log.events.len() as u64);
-    assert_eq!(reader.superblocks(), log.superblocks.as_slice());
+    let log = real_trace("gzip");
+    let mut rd = TraceReader::new(std::io::Cursor::new(to_binary(&log, 777))).unwrap();
+    assert_eq!(rd.name(), log.name);
+    assert_eq!(rd.event_count(), log.events.len() as u64);
+    assert_eq!(rd.superblocks(), log.superblocks.as_slice());
     let mut events = Vec::new();
-    while let Some(chunk) = reader.next_chunk() {
+    while let Some(chunk) = rd.next_chunk() {
         events.extend_from_slice(&chunk.unwrap());
     }
     assert_eq!(events, log.events);
@@ -71,8 +64,7 @@ fn streaming_reader_matches_sequential_load_on_real_logs() {
 
 #[test]
 fn real_log_corruption_classes_are_distinguished() {
-    let log = real_trace(17);
-    let clean = to_binary(&log, 512);
+    let clean = to_binary(&real_trace("gzip"), 512);
 
     // Bad magic.
     let mut bad = clean.clone();
@@ -103,14 +95,13 @@ fn real_log_corruption_classes_are_distinguished() {
 
 #[test]
 fn streaming_reader_stops_at_first_error_on_real_logs() {
-    let log = real_trace(19);
-    let mut bytes = to_binary(&log, 256);
+    let mut bytes = to_binary(&real_trace("gzip"), 256);
     let at = bytes.len() * 3 / 4;
     bytes[at] ^= 0x08;
-    let mut reader = TraceReader::new(std::io::Cursor::new(bytes)).unwrap();
+    let mut rd = TraceReader::new(std::io::Cursor::new(bytes)).unwrap();
     let mut good = 0usize;
     let mut failed = false;
-    while let Some(chunk) = reader.next_chunk() {
+    while let Some(chunk) = rd.next_chunk() {
         match chunk {
             Ok(c) => good += c.len(),
             Err(_) => {
@@ -121,9 +112,9 @@ fn streaming_reader_stops_at_first_error_on_real_logs() {
     }
     assert!(failed, "corruption must surface");
     assert!(
-        (good as u64) < reader.event_count(),
+        (good as u64) < rd.event_count(),
         "the stream must end early"
     );
     // After the error the stream is finished.
-    assert!(reader.next_chunk().is_none());
+    assert!(rd.next_chunk().is_none());
 }
