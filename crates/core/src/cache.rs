@@ -33,7 +33,7 @@ use crate::ids::{Granularity, SuperblockId, UnitId};
 use crate::links::LinkGraph;
 use crate::org::unit_fifo::UnitFifo;
 use crate::org::{fine_fifo::FineFifo, CacheOrg};
-use crate::session::InsertRequest;
+use crate::session::{AccessOutcome, InsertRequest};
 use crate::stats::CacheStats;
 use std::fmt;
 
@@ -271,8 +271,15 @@ impl CodeCache {
 
     /// Looks up `id`, recording hit/miss statistics. Does **not** insert.
     pub fn access(&mut self, id: SuperblockId) -> AccessResult {
+        self.lookup(id).0
+    }
+
+    /// [`CodeCache::access`] plus the unit holding `id` on a hit: one
+    /// `unit_of` probe is both the residency check and the unit lookup.
+    fn lookup(&mut self, id: SuperblockId) -> (AccessResult, Option<UnitId>) {
         self.stats.accesses += 1;
-        let result = if self.org.contains(id) {
+        let unit = self.org.unit_of(id);
+        let result = if unit.is_some() {
             self.stats.hits += 1;
             self.org.note_hit(id);
             AccessResult::Hit
@@ -293,7 +300,7 @@ impl CodeCache {
             });
         }
         self.org.note_access(result.is_hit());
-        result
+        (result, unit)
     }
 
     /// Inserts the superblock described by `req`, evicting as required
@@ -355,6 +362,19 @@ impl CodeCache {
             .unit_of(from)
             .ok_or(CacheError::NotResident(from))?;
         let to_unit = self.org.unit_of(to).ok_or(CacheError::NotResident(to))?;
+        Ok(self.link_units(from, from_unit, to, to_unit))
+    }
+
+    /// Records the link `from → to` between two resident blocks whose
+    /// units the caller has already looked up: the one place link
+    /// statistics are counted.
+    fn link_units(
+        &mut self,
+        from: SuperblockId,
+        from_unit: UnitId,
+        to: SuperblockId,
+        to_unit: UnitId,
+    ) -> bool {
         let new = self.links.add_link(from, to);
         if new {
             self.stats.links_created += 1;
@@ -362,7 +382,41 @@ impl CodeCache {
                 self.stats.inter_unit_links_created += 1;
             }
         }
-        Ok(new)
+        new
+    }
+
+    /// One superblock transition (Figure 1): looks `id` up; on a miss
+    /// inserts it, hinted by `from` when `from` is resident; then, when
+    /// `chain` is set, links `from → id` if both are resident
+    /// afterwards. See [`crate::CacheSession::transition`].
+    ///
+    /// # Errors
+    ///
+    /// As [`crate::CacheSession::access_or_insert`]; nothing is chained
+    /// on `Err`.
+    pub fn transition(
+        &mut self,
+        id: SuperblockId,
+        size: u32,
+        from: Option<SuperblockId>,
+        chain: bool,
+        sink: &mut dyn EventSink,
+    ) -> Result<AccessOutcome, CacheError> {
+        let (access, mut unit) = self.lookup(id);
+        let mut inserted = None;
+        if access.is_miss() {
+            let hint = from.filter(|&f| self.org.contains(f));
+            let req = InsertRequest::new(id, size).with_hint(hint);
+            inserted = Some(self.insert_miss(req, sink)?);
+            // The insert may have evicted `from`; re-query both ends.
+            unit = self.org.unit_of(id);
+        }
+        if let (true, Some(from), Some(to_unit)) = (chain, from, unit) {
+            if let Some(from_unit) = self.org.unit_of(from) {
+                self.link_units(from, from_unit, id, to_unit);
+            }
+        }
+        Ok(AccessOutcome { access, inserted })
     }
 
     /// Flushes the entire cache manually (e.g. a Dynamo-style preemptive

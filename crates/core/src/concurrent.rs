@@ -14,10 +14,12 @@
 //!   interleaving schedules the other tenants (enforced by
 //!   `tests/concurrent_conformance.rs`).
 //! * **Deadlock freedom by ownership.** There is one lock per tenant
-//!   and one for the arbiter. A serving call takes exactly its own
-//!   tenant's lock and releases it before counting the access; only the
-//!   arbiter's review ever holds more than one lock — the arbiter lock
-//!   first, then every tenant lock in ascending tenant index.
+//!   and one for the arbiter. A serving call takes its own tenant's
+//!   lock once per event, and drops it mid-event only when the access
+//!   completes a review epoch, so the review runs with no tenant lock
+//!   held. Only the arbiter's review ever holds more than one lock —
+//!   the arbiter lock first, then every tenant lock in ascending
+//!   tenant index.
 //!   `tests/lock_interleave.rs` attacks that rule under real scheduling.
 //! * **Honest accounting.** Cross-shard links are charged by the
 //!   tenant's own sharded cache, and a capacity re-partition pays for
@@ -180,6 +182,11 @@ impl Tenant {
     }
 }
 
+/// One tenant's lock on cache lines of its own: threads serving
+/// neighbouring tenants then never write the same line.
+#[repr(align(128))]
+struct TenantSlot(Mutex<Tenant>);
+
 /// The Memshare-style arbiter: the global access counter that paces
 /// its reviews, and its mutable state behind the one lock that is
 /// always taken before any tenant lock.
@@ -209,7 +216,7 @@ struct ArbiterState {
 /// arbiter on top. All serving methods take `&self`;
 /// [`ConcurrentSession`] hands out clones of one `Arc` of this.
 struct ConcurrentCache {
-    tenants: Vec<Mutex<Tenant>>,
+    tenants: Vec<TenantSlot>,
     arbiter: Option<Arbiter>,
     shard_count: usize,
 }
@@ -244,10 +251,10 @@ impl ConcurrentCache {
                     .into_iter()
                     .map(|c| Ok(CodeCache::new((tc.factory)(c)?)))
                     .collect::<Result<Vec<_>, CacheError>>()?;
-                Ok(Mutex::new(Tenant {
+                Ok(TenantSlot(Mutex::new(Tenant {
                     cache: ShardedCache::new(lanes)?,
                     factory: tc.factory,
-                }))
+                })))
             })
             .collect::<Result<Vec<_>, CacheError>>()?;
         Ok(ConcurrentCache {
@@ -272,20 +279,30 @@ impl ConcurrentCache {
     /// must not brick the tenant: poisoning is ignored.
     fn lock_tenant(&self, tenant: TenantId) -> MutexGuard<'_, Tenant> {
         self.tenants[tenant.0 as usize]
+            .0
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Counts one access toward the review epoch and runs a review when
     /// the epoch boundary is crossed. Callers must have released their
-    /// tenant lock first. Without an arbiter nobody reads the count, so
-    /// nothing is counted.
+    /// tenant lock first.
     fn note_access(&self) {
-        let Some(arbiter) = &self.arbiter else { return };
-        let n = arbiter.accesses.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(arbiter.review_period) {
-            self.review(arbiter, n / arbiter.review_period);
+        if let Some(epoch) = self.count_access() {
+            self.review(epoch);
         }
+    }
+
+    /// Counts one access toward the review epoch; returns the epoch
+    /// this access completes, whose review the caller must run once it
+    /// holds no tenant lock. Safe to call under a tenant lock: it only
+    /// touches an atomic. Without an arbiter nobody reads the count, so
+    /// nothing is counted.
+    fn count_access(&self) -> Option<u64> {
+        let arbiter = self.arbiter.as_ref()?;
+        let n = arbiter.accesses.fetch_add(1, Ordering::Relaxed) + 1;
+        n.is_multiple_of(arbiter.review_period)
+            .then(|| n / arbiter.review_period)
     }
 
     fn decisions(&self) -> Vec<ArbiterDecision> {
@@ -304,7 +321,8 @@ impl ConcurrentCache {
     /// gap clears the hysteresis bar. The only function that holds more
     /// than one lock: the arbiter lock, then every tenant lock in
     /// ascending index, so concurrent serving calls simply wait.
-    fn review(&self, arbiter: &Arbiter, epoch: u64) {
+    fn review(&self, epoch: u64) {
+        let Some(arbiter) = &self.arbiter else { return };
         let mut ast = arbiter.state.lock().unwrap_or_else(PoisonError::into_inner);
         if epoch <= ast.reviews {
             return; // a racing thread already covered this epoch
@@ -312,7 +330,7 @@ impl ConcurrentCache {
         let mut tenants: Vec<MutexGuard<'_, Tenant>> = self
             .tenants
             .iter()
-            .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
+            .map(|m| m.0.lock().unwrap_or_else(PoisonError::into_inner))
             .collect();
         let ntenants = tenants.len();
         ast.reviews = epoch;
@@ -538,7 +556,9 @@ impl ConcurrentSession {
 /// One tenant's [`CacheSession`] view of a shared [`ConcurrentSession`]:
 /// the handle `cce_sim` drives per tenant, indistinguishable from that
 /// tenant's solo sharded cache. Every call takes the tenant's lock once
-/// and delegates to its [`ShardedCache`].
+/// and delegates to its [`ShardedCache`]; a
+/// [`CacheSession::transition`] that completes a review epoch re-takes
+/// it once more, for the chain after the review.
 #[derive(Debug, Clone)]
 pub struct TenantSession {
     session: ConcurrentSession,
@@ -574,6 +594,33 @@ impl CacheSession for TenantSession {
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError> {
         self.session.insert_request(self.tenant, req, sink)
+    }
+
+    /// Takes the tenant lock once. When this access completes a review
+    /// epoch, the review runs between the insert and the chain, exactly
+    /// as it would after [`CacheSession::access_or_insert`]: the lock is
+    /// dropped for the review and re-taken for the chain.
+    fn transition(
+        &mut self,
+        id: SuperblockId,
+        size: u32,
+        from: Option<SuperblockId>,
+        chain: bool,
+        sink: &mut dyn EventSink,
+    ) -> Result<AccessOutcome, CacheError> {
+        let inner = &self.session.inner;
+        let mut tenant = inner.lock_tenant(self.tenant);
+        let Some(epoch) = inner.count_access() else {
+            return tenant.cache.transition(id, size, from, chain, sink);
+        };
+        let outcome = tenant.cache.transition(id, size, from, false, sink);
+        drop(tenant);
+        inner.review(epoch);
+        if let (Ok(_), true, Some(from)) = (&outcome, chain, from) {
+            // `NotResident` means the review dropped an end: no chain.
+            let _ = inner.lock_tenant(self.tenant).cache.link(from, id);
+        }
+        outcome
     }
 
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {

@@ -11,12 +11,18 @@
 //!   events into the caller's sink;
 //! * [`CacheSession::flush`] — evict everything, streaming likewise.
 //!
+//! On top of the insert core sits [`CacheSession::transition`], one
+//! trace event in one call: lookup, hinted insert on a miss, and the
+//! chain from the event's source block. `cce_sim::simulator` makes
+//! exactly this call per event (plus the periodic census), so a
+//! [`crate::concurrent::TenantSession`] takes its tenant lock once per
+//! event and a [`crate::shard::ShardedCache`] routes each id once.
+//!
 //! Thin convenience wrappers ([`CacheSession::access_or_insert_quiet`],
 //! [`CacheSession::flush_report`]) are provided methods, so
 //! [`CodeCache`], [`crate::shard::ShardedCache`] and the per-tenant
-//! [`crate::concurrent::TenantSession`] expose them for free.
-//! `cce_sim::simulator` drives any of the three through this trait;
-//! the legacy `CodeCache` quintet of shims has been deleted —
+//! [`crate::concurrent::TenantSession`] expose them for free; the
+//! legacy `CodeCache` quintet of shims has been deleted —
 //! [`CodeCache::insert_request`] is the one insert core.
 
 use crate::cache::{AccessResult, CodeCache, EvictionReport, InsertReport, InsertSummary};
@@ -86,9 +92,10 @@ impl AccessOutcome {
 
 /// A serving handle over one code cache — bare or sharded.
 ///
-/// The trait is deliberately narrow: one evented insert core, one
-/// evented flush core, chaining, and read-only inspection. Everything
-/// else (owned reports, quiet variants) is a provided wrapper.
+/// The trait is deliberately narrow: one evented insert core, the
+/// fused per-event transition, one evented flush core, chaining, and
+/// read-only inspection. Everything else (owned reports, quiet
+/// variants) is a provided wrapper.
 ///
 /// # Error contract
 ///
@@ -112,6 +119,32 @@ pub trait CacheSession: fmt::Debug + Send {
     fn access_or_insert(
         &mut self,
         req: InsertRequest,
+        sink: &mut dyn EventSink,
+    ) -> Result<AccessOutcome, CacheError>;
+
+    /// One superblock transition — the whole per-event step of the
+    /// paper's cache manager (Figure 1) in one call: look `id` up; on a
+    /// miss insert it (`size` bytes), hinted by `from` when `from` is
+    /// resident; then, when `chain` is set, link `from → id` if both
+    /// are resident after the insert. Streams the settled events into
+    /// `sink`.
+    ///
+    /// Observably identical to the sequence `is_resident(from)` (for
+    /// the hint), [`CacheSession::access_or_insert`],
+    /// `is_resident(from) && is_resident(id)`, [`CacheSession::link`];
+    /// [`crate::testutil::assert_transition_matches_reference`] holds every
+    /// session to that.
+    ///
+    /// # Errors
+    ///
+    /// As [`CacheSession::access_or_insert`]; nothing is chained on
+    /// `Err`.
+    fn transition(
+        &mut self,
+        id: SuperblockId,
+        size: u32,
+        from: Option<SuperblockId>,
+        chain: bool,
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError>;
 
@@ -190,6 +223,17 @@ impl CacheSession for Box<dyn CacheSession> {
         (**self).access_or_insert(req, sink)
     }
 
+    fn transition(
+        &mut self,
+        id: SuperblockId,
+        size: u32,
+        from: Option<SuperblockId>,
+        chain: bool,
+        sink: &mut dyn EventSink,
+    ) -> Result<AccessOutcome, CacheError> {
+        (**self).transition(id, size, from, chain, sink)
+    }
+
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
         (**self).link(from, to)
     }
@@ -253,6 +297,17 @@ impl CacheSession for CodeCache {
             access,
             inserted: Some(summary),
         })
+    }
+
+    fn transition(
+        &mut self,
+        id: SuperblockId,
+        size: u32,
+        from: Option<SuperblockId>,
+        chain: bool,
+        sink: &mut dyn EventSink,
+    ) -> Result<AccessOutcome, CacheError> {
+        CodeCache::transition(self, id, size, from, chain, sink)
     }
 
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {

@@ -270,6 +270,16 @@ impl ShardedCache {
         self.xlinks.link_count()
     }
 
+    /// Records a cross-shard link between two resident blocks: the one
+    /// place cross-shard link creation is counted.
+    fn add_cross_link(&mut self, from: SuperblockId, to: SuperblockId) -> bool {
+        let new = self.xlinks.add_link(from, to);
+        if new {
+            self.extras.links_created += 1;
+        }
+        new
+    }
+
     /// Capacity misses summed over the shards — the arbiter's ghost-hit
     /// signal.
     pub(crate) fn capacity_misses(&self) -> u64 {
@@ -342,6 +352,37 @@ impl CacheSession for ShardedCache {
         })
     }
 
+    fn transition(
+        &mut self,
+        id: SuperblockId,
+        size: u32,
+        from: Option<SuperblockId>,
+        chain: bool,
+        sink: &mut dyn EventSink,
+    ) -> Result<AccessOutcome, CacheError> {
+        let shards = self.lanes.len() as u32;
+        let s = jump_hash(id.0, shards) as usize;
+        let sf = from.map(|f| jump_hash(f.0, shards) as usize);
+        // A same-shard `from` is the lane's own business: its hint and
+        // its chain are exactly a bare cache's. A cross-shard `from`
+        // cannot inform placement, and its link is an `xlinks` entry.
+        let local = from.filter(|_| sf == Some(s));
+        let mut wrapper = CrossShardSink::new(sink, &mut self.xlinks);
+        let mut outcome = self.lanes[s].transition(id, size, local, chain, &mut wrapper)?;
+        // Only an insert settles events; a hit leaves `extras` unwritten.
+        if let Some(summary) = outcome.inserted.as_mut() {
+            summary.unlink_operations += wrapper.unlink_operations;
+            summary.links_unlinked += wrapper.links_unlinked;
+            self.extras.absorb(&wrapper);
+        }
+        if let (true, Some(from), Some(sf)) = (chain, from, sf) {
+            if sf != s && self.lanes[sf].is_resident(from) && self.lanes[s].is_resident(id) {
+                self.add_cross_link(from, id);
+            }
+        }
+        Ok(outcome)
+    }
+
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
         let sf = self.shard_of(from);
         let st = self.shard_of(to);
@@ -354,11 +395,7 @@ impl CacheSession for ShardedCache {
         if !self.lanes[st].is_resident(to) {
             return Err(CacheError::NotResident(to));
         }
-        let new = self.xlinks.add_link(from, to);
-        if new {
-            self.extras.links_created += 1;
-        }
-        Ok(new)
+        Ok(self.add_cross_link(from, to))
     }
 
     fn flush(&mut self, sink: &mut dyn EventSink) -> Option<InsertSummary> {

@@ -24,10 +24,11 @@
 //! * `flush_events`/`flush_all` empty the cache as a single invocation.
 
 use crate::error::CacheError;
-use crate::events::{CacheEvent, EventBuffer};
+use crate::events::{CacheEvent, CacheObserver, EventBuffer};
 use crate::ids::SuperblockId;
 use crate::org::CacheOrg;
 use crate::session::{CacheSession, InsertRequest};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Checks the event grammar of one insertion's stream and returns the
 /// total bytes reported evicted.
@@ -289,4 +290,150 @@ pub fn assert_sessions_equivalent<A: CacheSession, B: CacheSession>(
         "statistics diverged"
     );
     assert_eq!(a.link_census(), b.link_census(), "link censuses diverged");
+}
+
+/// A shared log of settled events: every [`ObserverLog::observer`] it
+/// hands out appends to it, so the lanes of a sharded cache can share
+/// one log.
+#[derive(Debug, Clone, Default)]
+pub struct ObserverLog(Arc<Mutex<Vec<CacheEvent>>>);
+
+impl ObserverLog {
+    /// A new observer appending to this log; install it with
+    /// [`crate::CodeCache::set_observer`].
+    #[must_use]
+    pub fn observer(&self) -> Box<dyn CacheObserver> {
+        let log = Arc::clone(&self.0);
+        Box::new(move |ev| log.lock().unwrap_or_else(PoisonError::into_inner).push(ev))
+    }
+
+    /// Removes and returns everything logged so far.
+    #[must_use]
+    pub fn take(&self) -> Vec<CacheEvent> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+/// How often [`assert_transition_matches_reference`]'s workload hit
+/// the edge cases of a transition; callers assert these are nonzero
+/// over their suite.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TransitionCoverage {
+    /// Transitions with `from == id`.
+    pub self_loops: u64,
+    /// Transitions whose block exceeded the capacity
+    /// ([`CacheError::BlockTooLarge`]).
+    pub too_large: u64,
+    /// Hinted misses whose own insert evicted the hint.
+    pub hint_evicted: u64,
+    /// `link` calls the reference sequence made.
+    pub links: u64,
+}
+
+impl std::ops::AddAssign for TransitionCoverage {
+    fn add_assign(&mut self, other: TransitionCoverage) {
+        self.self_loops += other.self_loops;
+        self.too_large += other.too_large;
+        self.hint_evicted += other.hint_evicted;
+        self.links += other.links;
+    }
+}
+
+/// Builds two sessions with `make` and drives one seeded transition
+/// trace through both: [`CacheSession::transition`] on the first, and
+/// on the second the sequence it replaces — `is_resident(from)` for the
+/// hint, [`CacheSession::access_or_insert`], then
+/// `is_resident(from) && is_resident(id)` and [`CacheSession::link`].
+/// `make` receives an [`ObserverLog`] per session to wire into any
+/// [`crate::CodeCache`] it builds.
+///
+/// After every step the outcomes, the sink streams, the observer
+/// streams, the statistics and the link censuses must be equal. The
+/// trace includes `from == id` transitions, blocks larger than the
+/// whole cache and unchained transitions.
+///
+/// # Panics
+///
+/// Panics (with the step number) on the first divergence.
+pub fn assert_transition_matches_reference<S: CacheSession>(
+    mut make: impl FnMut(&ObserverLog) -> S,
+    steps: u64,
+) -> TransitionCoverage {
+    let (log_a, log_b) = (ObserverLog::default(), ObserverLog::default());
+    let mut fused = make(&log_a);
+    let mut reference = make(&log_b);
+    let too_large = u32::try_from(fused.capacity() + 1).unwrap_or(u32::MAX);
+    let mut buf_a = EventBuffer::new();
+    let mut buf_b = EventBuffer::new();
+    let mut coverage = TransitionCoverage::default();
+    // xorshift64: deterministic, no external deps.
+    let mut rng = 0x2545_f491_4f6c_dd1du64;
+    let mut last: Option<SuperblockId> = None;
+    for i in 0..steps {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let id = SuperblockId(rng % 37);
+        let size = if rng & 0xf0 == 0 {
+            too_large
+        } else {
+            32 + ((rng >> 8) % 97) as u32
+        };
+        let from = match (rng >> 20) & 0xf {
+            0 => Some(id),
+            1..=3 => None,
+            _ => last,
+        };
+        let chain = (rng >> 24) & 0x7 != 0;
+        buf_a.clear();
+        buf_b.clear();
+        let out_a = fused.transition(id, size, from, chain, &mut buf_a);
+
+        let hint = from.filter(|&f| reference.is_resident(f));
+        let req = InsertRequest::new(id, size).with_hint(hint);
+        let out_b = reference.access_or_insert(req, &mut buf_b);
+        if let (Some(from), Ok(_)) = (hint, &out_b) {
+            coverage.hint_evicted += u64::from(!reference.is_resident(from));
+        }
+        if matches!(out_b, Ok(_) | Err(CacheError::BlockTooLarge { .. })) && chain {
+            if let Some(from) = from {
+                if reference.is_resident(from) && reference.is_resident(id) {
+                    let linked = reference.link(from, id);
+                    assert!(
+                        linked.is_ok(),
+                        "step {i}: reference link failed: {linked:?}"
+                    );
+                    coverage.links += 1;
+                }
+            }
+        }
+        coverage.self_loops += u64::from(from == Some(id));
+        coverage.too_large += u64::from(matches!(out_b, Err(CacheError::BlockTooLarge { .. })));
+
+        assert_eq!(out_a, out_b, "step {i}: outcomes diverged for {id}");
+        assert_eq!(
+            buf_a.events(),
+            buf_b.events(),
+            "step {i}: sink streams diverged for {id}"
+        );
+        assert_eq!(
+            log_a.take(),
+            log_b.take(),
+            "step {i}: observer streams diverged for {id}"
+        );
+        assert_eq!(
+            fused.stats_snapshot(),
+            reference.stats_snapshot(),
+            "step {i}: statistics diverged for {id}"
+        );
+        assert_eq!(
+            fused.link_census(),
+            reference.link_census(),
+            "step {i}: link censuses diverged for {id}"
+        );
+        if out_b.is_ok() {
+            last = Some(id);
+        }
+    }
+    coverage
 }

@@ -9,12 +9,18 @@
 //!    statistics and link census are byte-identical to that tenant
 //!    running alone single-threaded on its own sharded cache — for all
 //!    eight organizations, shard counts {1, 2, 4} and T ∈ {1, 2, 4}.
+//! 3. `CacheSession::transition` on a tenant takes the tenant lock once
+//!    yet is indistinguishable from the lookup → insert → chain call
+//!    sequence it fuses — also when arbiter reviews fall between an
+//!    insert and its chain.
 
-use cce_core::testutil::assert_sessions_equivalent;
+use cce_core::testutil::{
+    assert_sessions_equivalent, assert_transition_matches_reference, TransitionCoverage,
+};
 use cce_core::{
-    AdaptiveUnits, AffinityUnits, CacheError, CacheOrg, CacheSession, CodeCache, ConcurrentSession,
-    EventBuffer, FineFifo, Generational, InsertRequest, LruCache, OrgFactory, PreemptiveFlush,
-    ShardedCache, SuperblockId, TenantConfig, TenantId, UnitFifo,
+    AdaptiveUnits, AffinityUnits, ArbiterConfig, CacheError, CacheOrg, CacheSession, CodeCache,
+    ConcurrentSession, EventBuffer, FineFifo, Generational, InsertRequest, LruCache, OrgFactory,
+    PreemptiveFlush, ShardedCache, SuperblockId, TenantConfig, TenantId, UnitFifo,
 };
 
 const ORGS: [&str; 8] = [
@@ -60,10 +66,19 @@ fn solo_sharded(kind: &'static str, shards: u32) -> ShardedCache {
 }
 
 fn concurrent(kind: &'static str, tenants: u32, shards: u32) -> ConcurrentSession {
+    arbitrated(kind, tenants, shards, None)
+}
+
+fn arbitrated(
+    kind: &'static str,
+    tenants: u32,
+    shards: u32,
+    arbiter: Option<ArbiterConfig>,
+) -> ConcurrentSession {
     let configs = (0..tenants)
         .map(|_| TenantConfig::new(CAPACITY, org_factory(kind)))
         .collect();
-    ConcurrentSession::new(configs, shards, None).unwrap()
+    ConcurrentSession::new(configs, shards, arbiter).unwrap()
 }
 
 #[test]
@@ -76,6 +91,48 @@ fn one_tenant_is_byte_identical_to_a_sharded_cache() {
             assert_sessions_equivalent(&mut tenant, &mut solo, 500);
         }
     }
+}
+
+#[test]
+fn tenant_transition_matches_the_call_sequence_it_fuses() {
+    // A review every 5 accesses lands on chained transitions, between
+    // the insert and the chain. Tenant 1 stays idle, so it donates
+    // capacity to the driven tenant 0 and lanes are rebuilt mid-event.
+    let arbiter = ArbiterConfig {
+        review_period: 5,
+        transfer_divisor: 16,
+        floor_bytes: 128,
+        ..ArbiterConfig::default()
+    };
+    let mut coverage = TransitionCoverage::default();
+    let mut decisions = 0;
+    for kind in ORGS {
+        for shards in [1u32, 2] {
+            for arbiter in [None, Some(arbiter)] {
+                let mut sessions = Vec::new();
+                coverage += assert_transition_matches_reference(
+                    |_| {
+                        let session = arbitrated(kind, 2, shards, arbiter);
+                        sessions.push(session.clone());
+                        session.tenant(TenantId(0))
+                    },
+                    500,
+                );
+                let [fused, reference] = &sessions[..] else {
+                    panic!("the reference check builds two sessions");
+                };
+                assert_eq!(
+                    fused.decisions(),
+                    reference.decisions(),
+                    "{kind}/shards={shards}: arbiter decisions diverged"
+                );
+                decisions += fused.decisions().len();
+            }
+        }
+    }
+    assert!(decisions > 0, "no review moved capacity");
+    assert!(coverage.self_loops > 0 && coverage.too_large > 0);
+    assert!(coverage.hint_evicted > 0 && coverage.links > 0);
 }
 
 /// Deterministic per-tenant workload, seeded by tenant index: inserts

@@ -7,66 +7,50 @@
 //! 2. Under multi-shard eviction the link population is conserved:
 //!    every link ever created is either still live (intra-shard,
 //!    cross-shard) or accounted as unlinked / dropped-free.
+//! 3. `CacheSession::transition` on a bare cache and on 1, 2 and 3
+//!    shards is indistinguishable from the lookup → insert → chain call
+//!    sequence it fuses, for every organization.
 
-use cce_core::testutil::assert_sessions_equivalent;
+use cce_core::shard::shard_capacities;
+use cce_core::testutil::{
+    assert_sessions_equivalent, assert_transition_matches_reference, TransitionCoverage,
+};
 use cce_core::{
     AdaptiveUnits, AffinityUnits, CacheOrg, CacheSession, CodeCache, FineFifo, Generational,
     Granularity, InsertRequest, LruCache, PreemptiveFlush, ShardedCache, SuperblockId, UnitFifo,
 };
 
-type OrgPair = (&'static str, Box<dyn CacheOrg>, Box<dyn CacheOrg>);
+const ORGS: [&str; 8] = [
+    "unit_fifo(1)",
+    "unit_fifo(8)",
+    "fine_fifo",
+    "lru",
+    "preemptive",
+    "adaptive",
+    "affinity",
+    "generational",
+];
 
-fn all_orgs(capacity: u64) -> Vec<OrgPair> {
-    vec![
-        (
-            "unit_fifo(1)",
-            Box::new(UnitFifo::new(capacity, 1).unwrap()),
-            Box::new(UnitFifo::new(capacity, 1).unwrap()),
-        ),
-        (
-            "unit_fifo(8)",
-            Box::new(UnitFifo::new(capacity, 8).unwrap()),
-            Box::new(UnitFifo::new(capacity, 8).unwrap()),
-        ),
-        (
-            "fine_fifo",
-            Box::new(FineFifo::new(capacity).unwrap()),
-            Box::new(FineFifo::new(capacity).unwrap()),
-        ),
-        (
-            "lru",
-            Box::new(LruCache::new(capacity).unwrap()),
-            Box::new(LruCache::new(capacity).unwrap()),
-        ),
-        (
-            "preemptive",
-            Box::new(PreemptiveFlush::new(capacity).unwrap()),
-            Box::new(PreemptiveFlush::new(capacity).unwrap()),
-        ),
-        (
-            "adaptive",
-            Box::new(AdaptiveUnits::new(capacity, 4, 1, 64).unwrap()),
-            Box::new(AdaptiveUnits::new(capacity, 4, 1, 64).unwrap()),
-        ),
-        (
-            "affinity",
-            Box::new(AffinityUnits::new(capacity, 4).unwrap()),
-            Box::new(AffinityUnits::new(capacity, 4).unwrap()),
-        ),
-        (
-            "generational",
-            Box::new(Generational::new(capacity).unwrap()),
-            Box::new(Generational::new(capacity).unwrap()),
-        ),
-    ]
+fn org(kind: &str, capacity: u64) -> Box<dyn CacheOrg> {
+    match kind {
+        "unit_fifo(1)" => Box::new(UnitFifo::new(capacity, 1).unwrap()),
+        "unit_fifo(8)" => Box::new(UnitFifo::new(capacity, 8).unwrap()),
+        "fine_fifo" => Box::new(FineFifo::new(capacity).unwrap()),
+        "lru" => Box::new(LruCache::new(capacity).unwrap()),
+        "preemptive" => Box::new(PreemptiveFlush::new(capacity).unwrap()),
+        "adaptive" => Box::new(AdaptiveUnits::new(capacity, 4, 1, 64).unwrap()),
+        "affinity" => Box::new(AffinityUnits::new(capacity, 4).unwrap()),
+        "generational" => Box::new(Generational::new(capacity).unwrap()),
+        other => panic!("unknown organization {other}"),
+    }
 }
 
 #[test]
 fn single_shard_is_byte_identical_to_a_bare_cache_for_every_org() {
-    for (name, bare_org, sharded_org) in all_orgs(1024) {
-        let mut bare = CodeCache::new(bare_org);
+    for name in ORGS {
+        let mut bare = CodeCache::new(org(name, 1024));
         let mut sharded =
-            ShardedCache::new(vec![CodeCache::new(sharded_org)]).expect("one shard is valid");
+            ShardedCache::new(vec![CodeCache::new(org(name, 1024))]).expect("one shard is valid");
         // The driver panics with the org baked into the assertion
         // context via this eprintln-free wrapper: run per-org so a
         // failure names the culprit.
@@ -126,4 +110,45 @@ fn sharded_link_population_is_conserved_under_eviction() {
             );
         }
     }
+}
+
+#[test]
+fn transition_matches_the_call_sequence_it_fuses_for_every_org() {
+    let mut coverage = TransitionCoverage::default();
+    for kind in ORGS {
+        eprintln!("transition equivalence: {kind} bare");
+        coverage += assert_transition_matches_reference(
+            |log| {
+                let mut cache = CodeCache::new(org(kind, 1024));
+                cache.set_observer(log.observer());
+                cache
+            },
+            600,
+        );
+        for shards in [1u32, 2, 3] {
+            eprintln!("transition equivalence: {kind} shards={shards}");
+            coverage += assert_transition_matches_reference(
+                |log| {
+                    let lanes = shard_capacities(1536, shards)
+                        .into_iter()
+                        .map(|c| {
+                            let mut lane = CodeCache::new(org(kind, c));
+                            lane.set_observer(log.observer());
+                            lane
+                        })
+                        .collect();
+                    ShardedCache::new(lanes).unwrap()
+                },
+                600,
+            );
+        }
+    }
+    eprintln!("{coverage:?}");
+    assert!(coverage.self_loops > 0, "no from == id transition");
+    assert!(coverage.too_large > 0, "no oversized block");
+    assert!(
+        coverage.hint_evicted > 0,
+        "no hint evicted by its own insert"
+    );
+    assert!(coverage.links > 0, "no link created");
 }

@@ -994,7 +994,7 @@ mod tests {
 
     #[test]
     fn two_shard_links_charge_like_the_sharded_cache() {
-        use cce_core::{CacheSession, EventBuffer, InsertRequest, ShardedCache};
+        use cce_core::{CacheSession, EventBuffer, ShardedCache};
         let four = |shard| -> [SuperblockId; 4] {
             homed(shard).take(4).collect::<Vec<_>>().try_into().unwrap()
         };
@@ -1046,13 +1046,8 @@ mod tests {
         let mut want = EventBuffer::new();
         for &cce_dbt::TraceEvent::Access { id, direct_from } in &trace.events {
             sharded
-                .access_or_insert(InsertRequest::new(id, 60), &mut want)
+                .transition(id, 60, direct_from, true, &mut want)
                 .unwrap();
-            if let Some(from) = direct_from {
-                if sharded.is_resident(from) && sharded.is_resident(id) {
-                    sharded.link(from, id).unwrap();
-                }
-            }
         }
         assert_eq!(stream, want.events());
         assert!(stream.contains(&CacheEvent::Unlinked { id: b, links: 2 }));

@@ -23,7 +23,7 @@
 
 use crate::overhead::OverheadModel;
 use cce_core::idmap::IdMap;
-use cce_core::{CacheError, CacheSession, Granularity, InsertRequest, SuperblockId};
+use cce_core::{CacheError, CacheSession, Granularity, NullSink, SuperblockId};
 use cce_dbt::{SharedTrace, SuperblockInfo, TraceEvent, TraceLog, TraceReader};
 use std::error::Error;
 use std::fmt;
@@ -368,30 +368,20 @@ impl<S: CacheSession> SimDriver<S> {
         for ev in events {
             let TraceEvent::Access { id, direct_from } = *ev;
             let size = *self.sizes.get(&id).ok_or(SimError::UnknownSuperblock(id))?;
-            // Placement hint: the chain source of this direct transition,
-            // if still resident (placement-aware organizations co-locate).
-            let partner = direct_from.filter(|f| self.session.is_resident(*f));
-            // One call looks up and, on a miss, inserts.
-            match self
-                .session
-                .access_or_insert_quiet(InsertRequest::new(id, size).with_hint(partner))
-            {
+            // One call looks up, inserts on a miss (hinted by the chain
+            // source if resident) and chains the direct transition.
+            match self.session.transition(
+                id,
+                size,
+                direct_from,
+                self.config.chaining,
+                &mut NullSink,
+            ) {
                 Ok(_) => {}
                 // The miss was still recorded (and is still charged); the
                 // block is simulated as permanently uncached.
                 Err(CacheError::BlockTooLarge { .. }) => self.uncacheable += 1,
                 Err(e) => return Err(SimError::Cache(e)),
-            }
-            if self.config.chaining {
-                if let Some(from) = direct_from {
-                    if self.session.is_resident(from) && self.session.is_resident(id) {
-                        // Both endpoints were just checked resident, so
-                        // this cannot fail for the built-in sessions —
-                        // but a custom session may disagree, and that
-                        // deserves an error, not a panic.
-                        self.session.link(from, id).map_err(SimError::Cache)?;
-                    }
-                }
             }
             if self.event_idx % self.census_every == self.census_every - 1 {
                 let (intra, inter) = self.session.link_census();

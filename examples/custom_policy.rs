@@ -19,7 +19,7 @@
 
 use cce::core::{
     testutil, CacheError, CacheEvent, CacheOrg, CodeCache, EventSink, EvictionScope, Granularity,
-    InsertRequest, NullSink, SuperblockId, UnitId,
+    NullSink, SuperblockId, UnitId,
 };
 use cce::sim::metrics::unified_miss_rate;
 use cce::workloads::catalog;
@@ -156,14 +156,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut cache = CodeCache::new(Box::new(HalfFlush::new(capacity)?));
         for ev in &trace.events {
             let cce::dbt::TraceEvent::Access { id, direct_from } = *ev;
-            if cache.access(id).is_miss() {
-                cache.insert_request(InsertRequest::new(id, sizes[&id]), &mut NullSink)?;
-            }
-            if let Some(from) = direct_from {
-                if cache.is_resident(from) && cache.is_resident(id) {
-                    cache.link(from, id)?;
-                }
-            }
+            cache.transition(id, sizes[&id], direct_from, true, &mut NullSink)?;
         }
         let s = cache.stats();
         Ok((s.misses, s.accesses, s.eviction_invocations))

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example visualize_cache`
 
 use cce::core::visualize::{link_graph_dot, occupancy_chart};
-use cce::core::{CodeCache, Granularity, InsertRequest, NullSink, SuperblockId};
+use cce::core::{CodeCache, Granularity, NullSink, SuperblockId};
 use cce::dbt::TraceEvent;
 use cce::workloads::catalog;
 use std::collections::HashMap;
@@ -25,14 +25,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut cache = CodeCache::with_granularity(Granularity::units(8), capacity)?;
     for ev in trace.events.iter().take(trace.events.len() / 2) {
         let TraceEvent::Access { id, direct_from } = *ev;
-        if cache.access(id).is_miss() {
-            cache.insert_request(InsertRequest::new(id, sizes[&id]), &mut NullSink)?;
-        }
-        if let Some(from) = direct_from {
-            if cache.is_resident(from) && cache.is_resident(id) {
-                cache.link(from, id)?;
-            }
-        }
+        cache.transition(id, sizes[&id], direct_from, true, &mut NullSink)?;
     }
 
     println!("{}", occupancy_chart(&cache));
