@@ -1,6 +1,6 @@
-//! Fixture: tables declared through `cce_core::idmap`'s aliases are
-//! randomly keyed per table, so their iteration order is a
-//! nondeterminism source exactly like a default-`RandomState` map's.
+//! Fixture: `cce_core::idmap`'s tables walk in an order that depends on
+//! each table's history, so their iteration order is a nondeterminism
+//! source exactly like a default-`RandomState` map's.
 //! Expected findings (nondet-taint): the `IdMap` walk in `edges`
 //! (reached from `render` in one hop) and the `for` loop over the
 //! `IdSet` inside `settle`.

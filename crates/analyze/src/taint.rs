@@ -12,9 +12,9 @@
 //!
 //! Sources:
 //! * iteration over default-`RandomState` `HashMap`/`HashSet` and over
-//!   `cce_core::idmap`'s `IdMap`/`IdSet` aliases, which draw a random
-//!   key per table (`.iter()`, `.keys()`, `.drain()`, …, and plain
-//!   `for … in &map`);
+//!   `cce_core::idmap`'s `IdMap`/`IdSet`, whose walk order depends on
+//!   each table's history (`.iter()`, `.keys()`, `.drain()`, …, and
+//!   plain `for … in &map`);
 //! * `Instant::now` / `SystemTime::now`-derived values;
 //! * `available_parallelism` (machine-dependent);
 //! * thread identity (`thread::current`, `ThreadId`) and unordered
@@ -53,8 +53,8 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-/// Type names whose iteration order is randomly keyed: the std hash
-/// containers and the `cce_core::idmap` aliases over them.
+/// Type names whose iteration order is not a function of their
+/// contents: the std hash containers and the `cce_core::idmap` tables.
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "IdMap", "IdSet"];
 
 /// Unordered-receive methods on channels: which sender's message
@@ -298,15 +298,33 @@ fn sources_in_file(ws: &Workspace, file_idx: usize) -> Vec<Source> {
     out
 }
 
-/// Names bound to a [`HASH_TYPES`] container in this file: `name: HashMap<…>`
-/// declarations (lets, fields, params) and `name = HashMap::new()`-style
-/// initializers. Collection is file-granular — a name hash-bound in one
-/// function taints the same name everywhere in the file — which errs on
-/// the side of flagging; rename or annotate to disambiguate.
+/// Names of `type Alias = HashMap<…>;` aliases of [`HASH_TYPES`]
+/// declared in this file (`type Rows = IdMap<Vec<SuperblockId>>;`).
+fn hash_type_aliases(tokens: &[Token]) -> Vec<String> {
+    tokens
+        .windows(4)
+        .filter(|w| {
+            w[0].is_ident("type")
+                && w[1].kind == TokKind::Ident
+                && w[2].is_punct("=")
+                && HASH_TYPES.contains(&w[3].text.as_str())
+        })
+        .map(|w| w[1].text.clone())
+        .collect()
+}
+
+/// Names bound to a [`HASH_TYPES`] container, or to a file-local alias
+/// of one, in this file: `name: HashMap<…>` declarations (lets, fields,
+/// params) and `name = HashMap::new()`-style initializers. Collection
+/// is file-granular — a name hash-bound in one function taints the same
+/// name everywhere in the file — which errs on the side of flagging;
+/// rename or annotate to disambiguate.
 fn hash_bound_names(tokens: &[Token]) -> Vec<String> {
+    let aliases = hash_type_aliases(tokens);
     let mut names = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
-        if !(t.kind == TokKind::Ident && HASH_TYPES.contains(&t.text.as_str())) {
+        let hash_type = HASH_TYPES.contains(&t.text.as_str()) || aliases.contains(&t.text);
+        if !(t.kind == TokKind::Ident && hash_type) {
             continue;
         }
         // Walk back over a `std::collections::` path prefix, then over
@@ -478,6 +496,22 @@ pub fn emit(t: &Table, sink: &mut dyn EventSink) {
         );
         let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
         assert_eq!(lines, [5, 6], "{f:?}");
+    }
+
+    #[test]
+    fn fields_typed_by_a_local_alias_of_a_hash_container_are_sources() {
+        let f = findings(
+            "
+use cce_core::idmap::IdMap;
+type Rows = IdMap<Vec<u64>>;
+pub struct Graph { out: Rows }
+pub fn emit(g: &Graph, sink: &mut dyn EventSink) {
+    for (id, _) in g.out.iter() { sink.insert(id); }
+}
+",
+        );
+        let lines: Vec<u32> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [6], "{f:?}");
     }
 
     #[test]

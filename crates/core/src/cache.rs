@@ -571,9 +571,11 @@ impl CodeCache {
                     settle_emit!(self, sink, CacheEvent::EvictionBegin);
                     let links_before = self.links.link_count();
                     let mut unlinked_total = 0u64;
+                    // The pre-scan stopped `j` at the first non-victim,
+                    // so this skips nothing.
                     for k in (i + 1)..j {
                         let CacheEvent::Evicted { id, size } = self.buf.get(k) else {
-                            unreachable!("pre-scan bounded the invocation")
+                            continue;
                         };
                         // Incoming links from blocks that survive this
                         // invocation are the ones that must be unpatched

@@ -47,8 +47,17 @@ fn detach(rows: &mut Rows, mirror: &mut Rows, id: SuperblockId, count_self: bool
     removed
 }
 
+/// Empties every row of `rows`, keeping each allocated like [`detach`].
+fn empty_rows(rows: &mut Rows) {
+    // cce-analyze: allow(nondet-taint): every row is emptied, order-free
+    rows.retain(|_, row| {
+        row.clear();
+        true
+    });
+}
+
 /// A directed graph of superblock links with a back-pointer table, flat
-/// like the paper's: one hash probe reaches a block's row.
+/// like the paper's: one [`IdMap`] lookup reaches a block's row.
 ///
 /// The graph only ever contains *resident* blocks; [`crate::CodeCache`]
 /// removes a block's links at eviction time.
@@ -70,12 +79,12 @@ impl LinkGraph {
     /// Records a link `from → to`. Returns `false` if the link already
     /// existed (patching an already-patched exit is a no-op).
     pub fn add_link(&mut self, from: SuperblockId, to: SuperblockId) -> bool {
-        let row = self.out.entry(from).or_default();
+        let row = self.out.get_or_insert_default(from);
         if row.contains(&to) {
             return false;
         }
         row.push(to);
-        self.incoming.entry(to).or_default().push(from);
+        self.incoming.get_or_insert_default(to).push(from);
         self.link_count += 1;
         true
     }
@@ -121,10 +130,8 @@ impl LinkGraph {
     /// Drops every link at once (a full cache flush needs no back-pointer
     /// walks — this is the FLUSH policy's key advantage).
     pub fn clear(&mut self) {
-        // cce-analyze: allow(nondet-taint): every row is emptied, order-free
-        for row in self.out.values_mut().chain(self.incoming.values_mut()) {
-            row.clear();
-        }
+        empty_rows(&mut self.out);
+        empty_rows(&mut self.incoming);
         self.link_count = 0;
     }
 
@@ -142,7 +149,7 @@ impl LinkGraph {
         self.out
             // cce-analyze: allow(nondet-taint): consumers count (census) or sort (visualize)
             .iter()
-            .flat_map(|(&from, row)| row.iter().map(move |&to| (from, to)))
+            .flat_map(|(from, row)| row.iter().map(move |&to| (from, to)))
     }
 }
 

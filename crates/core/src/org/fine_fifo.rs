@@ -93,10 +93,10 @@ impl CacheOrg for FineFifo {
         }
         let mut scope = EvictionScope::new(sink);
         while self.used + u64::from(size) > self.capacity {
-            let (old, old_size) = self
-                .queue
-                .pop_front()
-                .expect("used > 0 implies nonempty queue");
+            // An empty queue means `used` is 0, and `size` fits.
+            let Some((old, old_size)) = self.queue.pop_front() else {
+                break;
+            };
             self.resident.remove(&old);
             self.used -= u64::from(old_size);
             scope.evict(old, old_size);

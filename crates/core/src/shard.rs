@@ -35,6 +35,7 @@
 use crate::cache::{AccessResult, CodeCache, InsertSummary};
 use crate::error::CacheError;
 use crate::events::{CacheEvent, EventSink, NullSink};
+use crate::idmap::IdMap;
 use crate::ids::{Granularity, SuperblockId};
 use crate::links::LinkGraph;
 use crate::org::CacheOrg;
@@ -198,6 +199,9 @@ pub struct ShardedCache {
     /// Live cross-shard (always-indirect) links.
     xlinks: LinkGraph,
     extras: CrossShardExtras,
+    /// Memo of [`ShardedCache::shard_of`], filled on an id's first
+    /// routing, so the per-event path indexes instead of re-hashing.
+    homes: IdMap<u32>,
 }
 
 impl ShardedCache {
@@ -215,6 +219,7 @@ impl ShardedCache {
             lanes: shards,
             xlinks: LinkGraph::new(),
             extras: CrossShardExtras::default(),
+            homes: IdMap::default(),
         })
     }
 
@@ -245,7 +250,21 @@ impl ShardedCache {
     /// count, so routing is reproducible across runs and worker counts.
     #[must_use]
     pub fn shard_of(&self, id: SuperblockId) -> usize {
-        jump_hash(id.0, self.lanes.len() as u32) as usize
+        match self.homes.get(&id) {
+            Some(&s) => s as usize,
+            None => jump_hash(id.0, self.lanes.len() as u32) as usize,
+        }
+    }
+
+    /// [`ShardedCache::shard_of`] through the memo, filling it on a
+    /// miss: the one router of the `&mut self` paths.
+    fn home(&mut self, id: SuperblockId) -> usize {
+        if let Some(&s) = self.homes.get(&id) {
+            return s as usize;
+        }
+        let s = jump_hash(id.0, self.lanes.len() as u32);
+        self.homes.insert(id, s);
+        s as usize
     }
 
     /// Number of shards.
@@ -316,7 +335,7 @@ impl ShardedCache {
 
 impl CacheSession for ShardedCache {
     fn access(&mut self, id: SuperblockId) -> AccessResult {
-        let s = self.shard_of(id);
+        let s = self.home(id);
         self.lanes[s].access(id)
     }
 
@@ -325,10 +344,8 @@ impl CacheSession for ShardedCache {
         req: InsertRequest,
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError> {
-        let shards = self.lanes.len() as u32;
-        let s = jump_hash(req.id.0, shards) as usize;
-        let lane = &mut self.lanes[s];
-        let access = lane.access(req.id);
+        let s = self.home(req.id);
+        let access = self.lanes[s].access(req.id);
         if access.is_hit() {
             return Ok(AccessOutcome {
                 access,
@@ -337,9 +354,9 @@ impl CacheSession for ShardedCache {
         }
         // A hint routed to a different shard cannot inform placement in
         // this one; same-shard hints pass through untouched.
-        let hint = req.hint.filter(|h| jump_hash(h.0, shards) as usize == s);
+        let hint = req.hint.filter(|&h| self.home(h) == s);
         let mut wrapper = CrossShardSink::new(sink, &mut self.xlinks);
-        let mut summary = lane.insert_miss(
+        let mut summary = self.lanes[s].insert_miss(
             InsertRequest::new(req.id, req.size).with_hint(hint),
             &mut wrapper,
         )?;
@@ -360,9 +377,8 @@ impl CacheSession for ShardedCache {
         chain: bool,
         sink: &mut dyn EventSink,
     ) -> Result<AccessOutcome, CacheError> {
-        let shards = self.lanes.len() as u32;
-        let s = jump_hash(id.0, shards) as usize;
-        let sf = from.map(|f| jump_hash(f.0, shards) as usize);
+        let s = self.home(id);
+        let sf = from.map(|f| self.home(f));
         // A same-shard `from` is the lane's own business: its hint and
         // its chain are exactly a bare cache's. A cross-shard `from`
         // cannot inform placement, and its link is an `xlinks` entry.
@@ -384,8 +400,8 @@ impl CacheSession for ShardedCache {
     }
 
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
-        let sf = self.shard_of(from);
-        let st = self.shard_of(to);
+        let sf = self.home(from);
+        let st = self.home(to);
         if sf == st {
             return self.lanes[sf].link(from, to);
         }

@@ -10,8 +10,11 @@
 //! 3. `CacheSession::transition` on a bare cache and on 1, 2 and 3
 //!    shards is indistinguishable from the lookup → insert → chain call
 //!    sequence it fuses, for every organization.
+//! 4. Routing through the home-shard memo is the pure `jump_hash`
+//!    function: every resident block sits in lane `shard_of(id)`.
 
-use cce_core::shard::shard_capacities;
+use cce_core::idmap::DIRECT_IDS;
+use cce_core::shard::{jump_hash, shard_capacities};
 use cce_core::testutil::{
     assert_sessions_equivalent, assert_transition_matches_reference, TransitionCoverage,
 };
@@ -151,4 +154,50 @@ fn transition_matches_the_call_sequence_it_fuses_for_every_org() {
         "no hint evicted by its own insert"
     );
     assert!(coverage.links > 0, "no link created");
+}
+
+#[test]
+fn every_resident_block_sits_in_its_home_lane() {
+    // Dense ids, ids just past the direct-table bound and serve-style
+    // `tenant << 32 | local` ids, so the memo is filled on both sides.
+    let universe: Vec<SuperblockId> = (0..40u64)
+        .chain((0..20).map(|k| DIRECT_IDS - 10 + k))
+        .chain((0..20).map(|k| (k % 4) << 32 | k))
+        .map(SuperblockId)
+        .collect();
+    for shards in [2u32, 3, 5] {
+        let mut cache =
+            ShardedCache::with_granularity(Granularity::units(4), 3072, shards).unwrap();
+        // xorshift64: deterministic, no external deps.
+        let mut rng = 0x5eed_0000_0000_0001u64 ^ u64::from(shards);
+        let mut from = None;
+        for _ in 0..3000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let id = universe[(rng >> 8) as usize % universe.len()];
+            let size = 16 + (rng % 5) as u32 * 24;
+            cache
+                .transition(id, size, from, true, &mut cce_core::NullSink)
+                .expect("in-range insert");
+            from = Some(id);
+        }
+        let mut resident = 0;
+        for s in 0..cache.shard_count() {
+            for (id, _) in cache.shard(s).org().resident_entries() {
+                assert_eq!(
+                    cache.shard_of(id),
+                    s,
+                    "{id:?} off its home at {shards} shards"
+                );
+                resident += 1;
+            }
+        }
+        assert!(resident > 0, "nothing resident at {shards} shards");
+        for &id in &universe {
+            let home = jump_hash(id.0, shards) as usize;
+            assert_eq!(cache.shard_of(id), home, "memo disagrees for {id:?}");
+            assert_eq!(cache.is_resident(id), cache.shard(home).is_resident(id));
+        }
+    }
 }

@@ -434,7 +434,7 @@ where
     let blocks = registry.len();
     // Dense indices; on duplicate ids the later entry wins, matching
     // the naive engine's size-map insertion.
-    let mut id_to_idx: IdMap<u32> = IdMap::with_capacity_and_hasher(blocks, Default::default());
+    let mut id_to_idx: IdMap<u32> = IdMap::with_capacity(blocks);
     let mut ids = Vec::with_capacity(blocks);
     let mut sizes = Vec::with_capacity(blocks);
     for info in registry {

@@ -4,6 +4,7 @@
 //! Seeded deterministic sampling with [`cce_util::StdRng`] replaces the
 //! old proptest harness — the build environment is offline.
 
+use cce::core::idmap::DIRECT_IDS;
 use cce::core::shard::shard_capacities;
 use cce::core::{
     CacheError, CacheEvent, CacheSession, CacheStats, CodeCache, EventBuffer, Granularity,
@@ -11,7 +12,7 @@ use cce::core::{
 };
 use cce::dbt::{SuperblockInfo, TraceEvent, TraceLog};
 use cce::sim::pressure::{cell_config, TraceSizing, MIN_CAPACITY};
-use cce::sim::simulator::SimConfig;
+use cce::sim::simulator::{simulate_source_session, SimConfig, SimResult};
 use cce::sim::{Engine as SweepEngine, OverheadModel, Replay};
 use cce::tinyvm::program::Pc;
 use cce_util::{Rng, StdRng};
@@ -166,6 +167,55 @@ fn overhead_charging_never_changes_behaviour() {
                 );
             }
         }
+    }
+}
+
+/// `trace` with every superblock id renamed by the injective `rename`.
+fn renamed(trace: &TraceLog, rename: impl Fn(u64) -> u64) -> TraceLog {
+    let id = |sb: SuperblockId| SuperblockId(rename(sb.0));
+    let mut out = trace.clone();
+    for info in &mut out.superblocks {
+        info.id = id(info.id);
+    }
+    for TraceEvent::Access {
+        id: to,
+        direct_from,
+    } in &mut out.events
+    {
+        *to = id(*to);
+        *direct_from = direct_from.map(id);
+    }
+    out
+}
+
+/// Id tables index ids below `DIRECT_IDS` and hash the rest. A trace
+/// renamed wholly into the hashed side, or straddling the bound,
+/// replays on a bare cache to the result of its dense original.
+#[test]
+fn replays_agree_on_both_sides_of_the_direct_id_bound() {
+    let trace = cce::workloads::by_name("gzip").unwrap().trace(0.1, 7);
+    let half = trace.superblocks.len() as u64 / 2;
+    let hashed = renamed(&trace, |id| id | 1 << 40);
+    let straddling = renamed(&trace, |id| id + DIRECT_IDS - half);
+    let sizing = TraceSizing::of(&trace);
+    for granularity in [
+        Granularity::Flush,
+        Granularity::units(8),
+        Granularity::Superblock,
+    ] {
+        let config = cell_config(sizing, granularity, 4, 1, &SimConfig::default());
+        let replay = |t: &TraceLog| -> SimResult {
+            let cache = CodeCache::with_granularity(granularity, config.capacity).unwrap();
+            simulate_source_session(t, cache, granularity.to_string(), &config).unwrap()
+        };
+        let want = replay(&trace);
+        assert!(
+            want.stats.eviction_invocations > 0,
+            "{granularity}: no eviction"
+        );
+        assert!(want.stats.links_created > 0, "{granularity}: no link");
+        assert_eq!(replay(&hashed), want, "{granularity}: hashed ids");
+        assert_eq!(replay(&straddling), want, "{granularity}: straddling ids");
     }
 }
 
