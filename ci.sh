@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Offline CI gate: formatting, lints, every test in the workspace
+# Offline CI gate: formatting, lints, rustdoc, every test in the workspace
 # (`default-members` in the root manifest makes plain `cargo test -q`
 # cover all crates, same as tier-1), the analyzer's repo gate and the
 # benchmark's smoke pass.
@@ -7,6 +7,9 @@ set -eux
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Dangling or private intra-doc links (what a deletion leaves behind)
+# fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
 # The workspace gate: hard-fails on any finding above the committed

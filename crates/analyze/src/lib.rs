@@ -15,7 +15,7 @@
 //! **Interprocedural lints**, built on a workspace symbol table
 //! ([`symbols`]), a conservative call graph ([`callgraph`]), and — for
 //! the path-sensitive passes — per-function control-flow graphs
-//! ([`cfg`]) solved by a generic worklist dataflow engine
+//! ([`cfg`](mod@cfg)) solved by a generic worklist dataflow engine
 //! ([`dataflow`]):
 //!
 //! * **nondet-taint** ([`taint`]) — nondeterminism sources (hash-order
@@ -89,7 +89,7 @@ const SELF_CRATE: &str = "analyze";
 /// The flat lints that apply to one repo file, from the scoping rules
 /// above. `rel` is the repo-relative path with forward slashes.
 /// (The interprocedural lints scope themselves: see
-/// [`taint::SCOPE_CRATES`].)
+/// `SCOPE_CRATES` in [`taint`].)
 #[must_use]
 pub fn lint_set_for(rel: &str) -> LintSet {
     let krate = rel

@@ -70,7 +70,7 @@ struct Source {
 }
 
 /// Runs the taint lint over the workspace. `repo_scope` restricts
-/// source sites to [`SCOPE_CRATES`]; fixture mode passes `false` and
+/// source sites to the crates in `SCOPE_CRATES`; fixture mode passes `false` and
 /// scans every file.
 #[must_use]
 pub fn run(ws: &Workspace, cg: &CallGraph, repo_scope: bool) -> Vec<Finding> {

@@ -106,7 +106,8 @@ impl From<&[CacheEvent]> for EvictionReport {
     }
 }
 
-/// Result of a successful [`CodeCache::insert`].
+/// What one successful insertion did, rebuilt from its event stream by
+/// [`InsertReport::from_events`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InsertReport {
     /// Eviction invocations performed to make room.

@@ -105,3 +105,59 @@ pub fn all(opts: &Options) -> String {
     );
     out
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// One `<fnv1a of body> <title>` line per `## ` section; the text
+    /// before the first heading is the `(preamble)` section.
+    fn digest_table(out: &str) -> String {
+        let mut sections = vec![("(preamble)", String::new())];
+        for line in out.lines() {
+            match line.strip_prefix("## ") {
+                Some(title) => sections.push((title, String::new())),
+                None => writeln!(sections.last_mut().expect("non-empty").1, "{line}").unwrap(),
+            }
+        }
+        sections
+            .iter()
+            .map(|(title, body)| format!("{:016x} {title}\n", fnv1a(body.as_bytes())))
+            .collect()
+    }
+
+    /// `all` at a small scale must reproduce every section of the
+    /// committed digest table; a change that means to move a number
+    /// pastes the printed table into `all_digests.txt`.
+    #[test]
+    fn all_sections_match_committed_digests() {
+        let opts = Options {
+            scale: 0.02,
+            seed: 1,
+            verbose: false,
+            ..Options::default()
+        };
+        let got = digest_table(&all(&opts));
+        let want = include_str!("all_digests.txt");
+        if got != want {
+            let moved: BTreeSet<&str> = got
+                .lines()
+                .filter(|l| !want.lines().any(|w| w == *l))
+                .chain(want.lines().filter(|l| !got.lines().any(|g| g == *l)))
+                .map(|l| l.get(17..).unwrap_or(l))
+                .collect();
+            panic!(
+                "sections moved: {moved:?}\n\
+                 new crates/experiments/src/all_digests.txt:\n{got}"
+            );
+        }
+    }
+}

@@ -198,8 +198,8 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                 i += 1;
                 let v = args.get(i).ok_or("--rps needs a value")?;
                 let r: f64 = v.parse().map_err(|_| format!("bad rps: {v}"))?;
-                if r <= 0.0 {
-                    return Err("rps must be positive".to_owned());
+                if !(r.is_finite() && r > 0.0) {
+                    return Err("rps must be finite and positive".to_owned());
                 }
                 opts.rps = Some(r);
             }
@@ -207,8 +207,8 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                 i += 1;
                 let v = args.get(i).ok_or("--duration needs a value")?;
                 let d: f64 = v.parse().map_err(|_| format!("bad duration: {v}"))?;
-                if d <= 0.0 {
-                    return Err("duration must be positive".to_owned());
+                if !(d.is_finite() && d > 0.0) {
+                    return Err("duration must be finite and positive".to_owned());
                 }
                 opts.duration = Some(d);
             }
@@ -343,6 +343,18 @@ mod tests {
         assert_eq!(o.threads, Some(2));
         assert!(parse_args(&s(&["replay", "--tenants", "0"])).is_err());
         assert!(parse_args(&s(&["replay", "--threads", "0"])).is_err());
+        let (_, o) = parse_args(&s(&["serve", "--rps", "250", "--duration", "0.5"])).unwrap();
+        assert_eq!((o.rps, o.duration), (Some(250.0), Some(0.5)));
+        for bad in ["0", "-1", "NaN", "inf", "-inf"] {
+            assert!(
+                parse_args(&s(&["serve", "--rps", bad])).is_err(),
+                "--rps {bad}"
+            );
+            assert!(
+                parse_args(&s(&["serve", "--duration", bad])).is_err(),
+                "--duration {bad}"
+            );
+        }
     }
 
     #[test]

@@ -181,8 +181,9 @@ impl ServePlan {
     /// # Errors
     ///
     /// [`SimError::Config`] for an empty registry, a registry too large
-    /// for the tenant id encoding, zero tenants/threads/batch, or a
-    /// non-positive rate/duration.
+    /// for the tenant id encoding, zero tenants/threads/batch, a rate or
+    /// duration that is not finite and positive, or a plan of more than
+    /// `u32::MAX` events.
     pub fn build(
         source_registry: &[SuperblockInfo],
         name: &str,
@@ -203,9 +204,21 @@ impl ServePlan {
         if cfg.batch_events == 0 {
             return Err(SimError::Config("batch must hold at least one event"));
         }
-        if cfg.rps <= 0.0 || cfg.duration_secs <= 0.0 {
-            return Err(SimError::Config("rps and duration must be positive"));
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(cfg.rps) || !positive(cfg.duration_secs) {
+            return Err(SimError::Config(
+                "rps and duration must be finite and positive",
+            ));
         }
+        // The plan materializes every event, so bound the total before
+        // allocating anything.
+        let request_count = (cfg.rps * cfg.duration_secs).round().max(1.0);
+        if request_count * cfg.batch_events as f64 > f64::from(u32::MAX) {
+            return Err(SimError::Config(
+                "rps × duration × batch exceeds u32::MAX events",
+            ));
+        }
+        let request_count = request_count as u64;
 
         // Wire registry: tenants × source, under tenant-tagged ids. The
         // local id is the *index* into the source registry, so wire ids
@@ -231,7 +244,6 @@ impl ServePlan {
             cdf.push(total);
         }
 
-        let request_count = ((cfg.rps * cfg.duration_secs).round() as u64).max(1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut requests = Vec::with_capacity(usize::try_from(request_count).unwrap_or(0));
         let mut per_tenant: Vec<Vec<TraceEvent>> = vec![Vec::new(); cfg.tenants];
@@ -973,6 +985,32 @@ mod tests {
             batch_events: 16,
             record_events: true,
             ..ServeConfig::default()
+        }
+    }
+
+    #[test]
+    fn non_finite_or_oversized_load_is_rejected() {
+        let reg = registry(4);
+        let bad = [
+            (f64::NAN, 1.0),
+            (f64::INFINITY, 1.0),
+            (f64::NEG_INFINITY, 1.0),
+            (1e300, 1.0),
+            (1.0, f64::NAN),
+            (1.0, f64::INFINITY),
+            (1e300, 1e300),
+        ];
+        for (rps, duration_secs) in bad {
+            let cfg = ServeConfig {
+                rps,
+                duration_secs,
+                ..quick_cfg()
+            };
+            let got = ServePlan::build(&reg, "t", &cfg);
+            assert!(
+                matches!(got, Err(SimError::Config(_))),
+                "rps {rps}, duration {duration_secs}: {got:?}"
+            );
         }
     }
 

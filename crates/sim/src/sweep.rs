@@ -51,7 +51,8 @@ pub struct SweepPoint {
 }
 
 /// Enumerates every `(trace, shards, pressure, granularity)` cell in
-/// canonical order. This order is the contract: [`run_matrix`] returns
+/// canonical order. This order is the contract:
+/// [`ReplayMatrix::run`](crate::replay::ReplayMatrix::run) returns
 /// results in exactly this sequence regardless of worker count. With
 /// `shard_counts == [1]` the sequence is identical to the historical
 /// `(trace, pressure, granularity)` order.

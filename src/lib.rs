@@ -10,9 +10,8 @@
 //! * [`dbt`] — the code-cache access trace (the analogue of the
 //!   DynamoRIO log the paper replayed) and its JSON, binary and
 //!   live-stream formats;
-//! * [`tinyvm`] — the guest address type the trace registry records,
-//!   plus the guest ISA, interpreter and program generators of the
-//!   deleted translator (unused, slated for removal);
+//! * [`tinyvm`] — `Pc`, the guest address type the trace registry
+//!   records;
 //! * [`workloads`] — the paper's 20 benchmarks as calibrated
 //!   statistical models, the source of every trace;
 //! * [`sim`] — trace-driven simulation, the Eq. 2–4 overhead
