@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Offline CI gate: formatting, lints, rustdoc, every test in the workspace
 # (`default-members` in the root manifest makes plain `cargo test -q`
-# cover all crates, same as tier-1), the analyzer's repo gate and the
-# benchmark's smoke pass.
+# cover all crates, same as tier-1), the analyzer's repo gate, the
+# benchmark's smoke pass and its unit tests.
 set -eux
 
 cargo fmt --all --check
@@ -29,3 +29,6 @@ head -c 400 analyze.sarif; echo
 # benchmark also carries the unsharded ladder-vs-naive gate
 # (`grid_ladder`) and the serve zero-shed gate (`serve_paced`).
 bash benchmark/run.sh --smoke
+# The benchmark crate's own unit tests (statistics, workload spec, trace
+# output); it is a workspace of its own, so `cargo test` above skips it.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml

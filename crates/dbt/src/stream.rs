@@ -229,8 +229,9 @@ impl<R: Read> FrameStream<R> {
         if crc32(&self.buf) != expect {
             return Ok(StreamFrame::Rejected("frame crc mismatch"));
         }
-        match decode_chunk(&self.buf) {
-            Ok(events) => Ok(StreamFrame::Events(events)),
+        let mut events = Vec::new();
+        match decode_chunk(&self.buf, &mut events) {
+            Ok(()) => Ok(StreamFrame::Events(events)),
             Err(_) => Ok(StreamFrame::Rejected("frame did not decode")),
         }
     }

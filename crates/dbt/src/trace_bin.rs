@@ -250,33 +250,90 @@ pub(crate) fn read_header<R: Read>(reader: &mut R) -> Result<Header, TraceLogErr
     })
 }
 
-pub(crate) fn decode_chunk(payload: &[u8]) -> Result<Vec<TraceEvent>, TraceLogError> {
-    let pos = &mut 0usize;
-    let count = varint::read_u64(payload, pos).ok_or_else(corrupt("event varint"))?;
+/// Reads a chunk payload's event count and returns it with the cursor
+/// just past it.
+fn chunk_count(payload: &[u8]) -> Result<(usize, usize), TraceLogError> {
+    let mut pos = 0;
+    let count = varint::read_u64(payload, &mut pos).ok_or_else(corrupt("event varint"))?;
     // Each event is ≥ 2 bytes; a count beyond that is structurally lying.
     let count = usize::try_from(count).map_err(|_| TraceLogError::Corrupt("chunk event count"))?;
     if count > payload.len() / 2 + 1 {
         return Err(TraceLogError::Corrupt("chunk event count"));
     }
-    let mut events = Vec::with_capacity(count);
+    Ok((count, pos))
+}
+
+/// Decodes the event at `*pos`, advancing past it.
+#[inline]
+fn decode_event(payload: &[u8], pos: &mut usize) -> Result<TraceEvent, TraceLogError> {
+    let bad = "event varint";
+    let id = SuperblockId(varint::read_u64(payload, pos).ok_or_else(corrupt(bad))?);
+    let tag = *payload.get(*pos).ok_or_else(corrupt(bad))?;
+    *pos += 1;
+    let direct_from = match tag {
+        0 => None,
+        1 => Some(SuperblockId(
+            varint::read_u64(payload, pos).ok_or_else(corrupt(bad))?,
+        )),
+        _ => return Err(TraceLogError::Corrupt("event tag")),
+    };
+    Ok(TraceEvent::Access { id, direct_from })
+}
+
+fn chunk_end(payload: &[u8], pos: usize) -> Result<(), TraceLogError> {
+    if pos == payload.len() {
+        Ok(())
+    } else {
+        Err(TraceLogError::Corrupt("chunk trailing bytes"))
+    }
+}
+
+/// Decodes one event-chunk payload, appending its events to `events`.
+/// On `Err` some of the chunk's events may already have been appended.
+pub(crate) fn decode_chunk(
+    payload: &[u8],
+    events: &mut Vec<TraceEvent>,
+) -> Result<(), TraceLogError> {
+    let (count, mut pos) = chunk_count(payload)?;
+    events.reserve(count);
     for _ in 0..count {
-        let bad = "event varint";
-        let id = SuperblockId(varint::read_u64(payload, pos).ok_or_else(corrupt(bad))?);
-        let tag = *payload.get(*pos).ok_or_else(corrupt(bad))?;
-        *pos += 1;
-        let direct_from = match tag {
-            0 => None,
-            1 => Some(SuperblockId(
-                varint::read_u64(payload, pos).ok_or_else(corrupt(bad))?,
-            )),
-            _ => return Err(TraceLogError::Corrupt("event tag")),
-        };
-        events.push(TraceEvent::Access { id, direct_from });
+        events.push(decode_event(payload, &mut pos)?);
     }
-    if *pos != payload.len() {
-        return Err(TraceLogError::Corrupt("chunk trailing bytes"));
+    chunk_end(payload, pos)
+}
+
+/// Decodes one event-chunk payload straight into a shared chunk. A chunk
+/// in `spent` of the right length that nobody else holds any more is
+/// overwritten in place; otherwise a fresh one is allocated. The result
+/// is also remembered in `spent` (at most `keep` chunks are), so in the
+/// steady state a stream allocates and copies nothing per chunk.
+fn decode_shared(
+    payload: &[u8],
+    spent: &mut Vec<Arc<[TraceEvent]>>,
+    keep: usize,
+) -> Result<Arc<[TraceEvent]>, TraceLogError> {
+    const BLANK: TraceEvent = TraceEvent::Access {
+        id: SuperblockId(0),
+        direct_from: None,
+    };
+    let (count, mut pos) = chunk_count(payload)?;
+    let mut chunk = match spent
+        .iter()
+        .position(|c| c.len() == count && Arc::strong_count(c) == 1)
+    {
+        Some(i) => spent.swap_remove(i),
+        None => std::iter::repeat_n(BLANK, count).collect(),
+    };
+    // Unique here, so `make_mut` hands out the slots without cloning.
+    for slot in Arc::make_mut(&mut chunk) {
+        *slot = decode_event(payload, &mut pos)?;
     }
-    Ok(events)
+    chunk_end(payload, pos)?;
+    if spent.len() >= keep {
+        spent.remove(0);
+    }
+    spent.push(Arc::clone(&chunk));
+    Ok(chunk)
 }
 
 /// Deserializes a complete binary trace written by [`save_binary`]
@@ -296,7 +353,7 @@ pub fn load_binary<R: Read>(mut reader: R) -> Result<TraceLog, TraceLogError> {
     );
     let mut payload = Vec::new();
     while read_frame(&mut reader, &mut payload, "truncated chunk")?.is_some() {
-        events.extend(decode_chunk(&payload)?);
+        decode_chunk(&payload, &mut events)?;
     }
     if events.len() as u64 != header.event_count {
         return Err(TraceLogError::Corrupt("event count mismatch"));
@@ -353,21 +410,28 @@ pub struct TraceReader {
 
 fn decode_loop<R: Read>(
     mut reader: R,
+    depth: usize,
     tx: &SyncSender<Result<Arc<[TraceEvent]>, TraceLogError>>,
     buffered: &AtomicUsize,
     high_water: &AtomicUsize,
 ) {
     let mut payload = Vec::new();
+    // The last chunks sent, for `decode_shared` to recycle. While one is
+    // decoded, up to `depth` wait in the channel and the consumer holds
+    // one more, so among the last `depth + 2` at least one is free once
+    // the consumer has moved on; two more leave slack for a consumer
+    // that drops its chunk late.
+    let mut spent = Vec::new();
+    let keep = depth + 4;
     loop {
         let frame = match read_frame(&mut reader, &mut payload, "truncated chunk") {
-            Ok(Some(())) => decode_chunk(&payload),
+            Ok(Some(())) => decode_shared(&payload, &mut spent, keep),
             Ok(None) => return, // clean terminator
             Err(e) => Err(e),
         };
         match frame {
-            Ok(events) => {
-                let n = events.len();
-                let chunk: Arc<[TraceEvent]> = events.into();
+            Ok(chunk) => {
+                let n = chunk.len();
                 let now = buffered.fetch_add(n, Ordering::Relaxed) + n;
                 high_water.fetch_max(now, Ordering::Relaxed);
                 if tx.send(Ok(chunk)).is_err() {
@@ -416,13 +480,14 @@ impl TraceReader {
         depth: usize,
     ) -> Result<TraceReader, TraceLogError> {
         let header = read_header(&mut reader)?;
-        let (tx, rx) = std::sync::mpsc::sync_channel(depth.max(1));
+        let depth = depth.max(1);
+        let (tx, rx) = std::sync::mpsc::sync_channel(depth);
         let buffered = Arc::new(AtomicUsize::new(0));
         let high_water = Arc::new(AtomicUsize::new(0));
         let (b, h) = (Arc::clone(&buffered), Arc::clone(&high_water));
         let handle = std::thread::Builder::new()
             .name("cce-trace-decode".to_owned())
-            .spawn(move || decode_loop(reader, &tx, &b, &h))
+            .spawn(move || decode_loop(reader, depth, &tx, &b, &h))
             .map_err(TraceLogError::Io)?;
         Ok(TraceReader {
             name: header.name,
@@ -785,6 +850,31 @@ mod tests {
     }
 
     #[test]
+    fn recycled_chunks_never_overwrite_held_ones() {
+        // Equal-sized chunks, so every dropped one is a recycling
+        // candidate; every third is held to the end and must keep its
+        // events while the decoder reuses the others.
+        let chunk = 32;
+        let log = sample(chunk * 30);
+        let bytes = encode(&log, chunk);
+        let mut reader = TraceReader::with_depth(std::io::Cursor::new(bytes), 1).unwrap();
+        let mut held = Vec::new();
+        let mut seen = Vec::new();
+        for i in 0.. {
+            let Some(c) = reader.next_chunk() else { break };
+            let c = c.unwrap();
+            seen.extend_from_slice(&c);
+            if i % 3 == 0 {
+                held.push((i, c));
+            }
+        }
+        assert_eq!(seen, log.events);
+        for (i, c) in held {
+            assert_eq!(&c[..], &log.events[i * chunk..(i + 1) * chunk], "chunk {i}");
+        }
+    }
+
+    #[test]
     fn shared_trace_from_log_and_from_reader_agree() {
         let log = sample(640);
         let via_log = SharedTrace::from_log(&log);
@@ -794,6 +884,123 @@ mod tests {
         assert_eq!(via_log.to_log(), log);
         assert_eq!(via_reader.to_log(), log);
         assert_eq!(via_reader.chunks.len(), 10, "chunk boundaries preserved");
+    }
+
+    /// Every varint length boundary, for ids and `from` values alike.
+    const BOUNDARIES: [u64; 9] = [
+        0,
+        127,
+        128,
+        16_383,
+        16_384,
+        (1 << 21) - 1,
+        1 << 21,
+        1 << 32,
+        u64::MAX,
+    ];
+
+    #[test]
+    fn varint_boundaries_roundtrip_through_every_decoder() {
+        let mut log = TraceLog::new("boundaries");
+        for &id in &BOUNDARIES {
+            log.record_access(sb(id), None);
+            for &from in &BOUNDARIES {
+                log.record_access(sb(id), Some(sb(from)));
+            }
+        }
+        let bytes = encode(&log, 7);
+        assert_eq!(load_binary(bytes.as_slice()).unwrap(), log);
+
+        let streamed =
+            SharedTrace::collect(TraceReader::new(std::io::Cursor::new(bytes.clone())).unwrap())
+                .unwrap();
+        assert_eq!(streamed.to_log(), log);
+
+        let mut frames = crate::stream::FrameStream::new(bytes.as_slice()).unwrap();
+        let mut events = Vec::new();
+        loop {
+            match frames.next_frame().unwrap() {
+                crate::stream::StreamFrame::Events(evs) => events.extend(evs),
+                crate::stream::StreamFrame::Rejected(r) => panic!("rejected: {r}"),
+                crate::stream::StreamFrame::End => break,
+            }
+        }
+        assert_eq!(events, log.events);
+    }
+
+    /// A file of one hand-built chunk `payload` (framed with a valid
+    /// CRC) behind the header of an `events`-event trace.
+    fn file_with_chunk(events: u64, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        write_frame(&mut bytes, &encode_header("hand", events, &[])).unwrap();
+        write_frame(&mut bytes, payload).unwrap();
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn malformed_chunks_with_valid_crcs_are_corrupt() {
+        // Two events: id 5 via the dispatcher, id 300 direct from 5.
+        let good = [2, 5, 0, 0xac, 0x02, 1, 5];
+        let mut events = Vec::new();
+        decode_chunk(&good, &mut events).unwrap();
+        assert_eq!(
+            events,
+            [
+                TraceEvent::Access {
+                    id: sb(5),
+                    direct_from: None
+                },
+                TraceEvent::Access {
+                    id: sb(300),
+                    direct_from: Some(sb(5))
+                },
+            ]
+        );
+        assert_eq!(
+            load_binary(file_with_chunk(2, &good).as_slice())
+                .unwrap()
+                .events,
+            events
+        );
+
+        let bad_tag = [2, 5, 0, 0xac, 0x02, 2, 5];
+        let trailing = [2, 5, 0, 0xac, 0x02, 1, 5, 0];
+        // Seven payload bytes can hold at most four events.
+        let over_bound = [5, 5, 0, 0xac, 0x02, 1, 5];
+        for (what, payload) in [
+            ("event tag", &bad_tag[..]),
+            ("chunk trailing bytes", &trailing[..]),
+            ("chunk event count", &over_bound[..]),
+        ] {
+            assert!(
+                matches!(
+                    decode_chunk(payload, &mut Vec::new()),
+                    Err(TraceLogError::Corrupt(w)) if w == what
+                ),
+                "{what}"
+            );
+            let file = file_with_chunk(2, payload);
+            let mut frames = crate::stream::FrameStream::new(file.as_slice()).unwrap();
+            assert!(
+                matches!(
+                    frames.next_frame(),
+                    Ok(crate::stream::StreamFrame::Rejected(_))
+                ),
+                "{what} through FrameStream"
+            );
+            assert!(
+                matches!(load_binary(file.as_slice()), Err(TraceLogError::Corrupt(w)) if w == what),
+                "{what} through load_binary"
+            );
+            let mut reader = TraceReader::new(std::io::Cursor::new(file)).unwrap();
+            assert!(
+                matches!(reader.next_chunk(), Some(Err(TraceLogError::Corrupt(w))) if w == what),
+                "{what} through TraceReader"
+            );
+            assert!(reader.next_chunk().is_none(), "the first error is final");
+        }
     }
 
     #[test]

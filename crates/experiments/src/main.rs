@@ -225,7 +225,7 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
                 i += 1;
                 let v = args.get(i).ok_or("--skew needs a value")?;
                 let z: f64 = v.parse().map_err(|_| format!("bad skew: {v}"))?;
-                if !(0.0..=8.0).contains(&z) {
+                if !(0.0..=cce_sim::serve::MAX_SKEW).contains(&z) {
                     return Err("skew must be in 0..=8".to_owned());
                 }
                 opts.skew = Some(z);

@@ -48,6 +48,9 @@ use std::time::{Duration, Instant};
 /// carries every tenant's frames; the server routes on the high half.
 pub const TENANT_ID_SHIFT: u32 = 32;
 
+/// Largest Zipf exponent [`ServePlan::build`] accepts.
+pub const MAX_SKEW: f64 = 8.0;
+
 /// Probability that an event chains to its predecessor in the batch
 /// (a "direct" transition that may form a link).
 const CHAIN_PROBABILITY: f64 = 0.7;
@@ -102,7 +105,7 @@ pub struct ServeConfig {
     /// Events per request frame.
     pub batch_events: usize,
     /// Zipf popularity exponent over the superblock registry (0 =
-    /// uniform).
+    /// uniform), within `0..=`[`MAX_SKEW`].
     pub skew: f64,
     /// Seed for the whole traffic plan.
     pub seed: u64,
@@ -182,8 +185,8 @@ impl ServePlan {
     ///
     /// [`SimError::Config`] for an empty registry, a registry too large
     /// for the tenant id encoding, zero tenants/threads/batch, a rate or
-    /// duration that is not finite and positive, or a plan of more than
-    /// `u32::MAX` events.
+    /// duration that is not finite and positive, a skew outside
+    /// `0..=`[`MAX_SKEW`], or a plan of more than `u32::MAX` events.
     pub fn build(
         source_registry: &[SuperblockInfo],
         name: &str,
@@ -203,6 +206,11 @@ impl ServePlan {
         }
         if cfg.batch_events == 0 {
             return Err(SimError::Config("batch must hold at least one event"));
+        }
+        // NaN or +∞ would put every event on block 0 and a large
+        // negative skew every event on the last block.
+        if !(0.0..=MAX_SKEW).contains(&cfg.skew) {
+            return Err(SimError::Config("skew must be finite and in 0..=8"));
         }
         let positive = |x: f64| x.is_finite() && x > 0.0;
         if !positive(cfg.rps) || !positive(cfg.duration_secs) {
@@ -1011,6 +1019,24 @@ mod tests {
                 matches!(got, Err(SimError::Config(_))),
                 "rps {rps}, duration {duration_secs}: {got:?}"
             );
+        }
+        for skew in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1e6, 8.5] {
+            let cfg = ServeConfig {
+                skew,
+                ..quick_cfg()
+            };
+            let got = ServePlan::build(&reg, "t", &cfg);
+            assert!(
+                matches!(got, Err(SimError::Config(_))),
+                "skew {skew}: {got:?}"
+            );
+        }
+        for skew in [0.0, MAX_SKEW] {
+            let cfg = ServeConfig {
+                skew,
+                ..quick_cfg()
+            };
+            assert!(ServePlan::build(&reg, "t", &cfg).is_ok(), "skew {skew}");
         }
     }
 

@@ -318,6 +318,8 @@ pub struct SimDriver<S: CacheSession> {
     sizes: IdMap<u32>,
     event_count: u64,
     census_every: usize,
+    /// Events left until the next census; reloads from `census_every`.
+    until_census: usize,
     event_idx: usize,
     uncacheable: u64,
     census_intra: u64,
@@ -341,6 +343,10 @@ impl<S: CacheSession> SimDriver<S> {
         if event_count == 0 {
             return Err(SimError::EmptyTrace);
         }
+        // Sample the live link graph ~64 times over the run. The period
+        // is a function of the *total* count, never of how the stream is
+        // chunked or sliced.
+        let census_every = (usize::try_from(event_count).unwrap_or(usize::MAX) / 64).max(1);
         Ok(SimDriver {
             session,
             name: name.to_owned(),
@@ -348,10 +354,8 @@ impl<S: CacheSession> SimDriver<S> {
             config: *config,
             sizes: registry.iter().map(|s| (s.id, s.size)).collect(),
             event_count,
-            // Sample the live link graph ~64 times over the run. The
-            // period is a function of the *total* count, never of how
-            // the stream is chunked or sliced.
-            census_every: (usize::try_from(event_count).unwrap_or(usize::MAX) / 64).max(1),
+            census_every,
+            until_census: census_every,
             event_idx: 0,
             uncacheable: 0,
             census_intra: 0,
@@ -383,7 +387,11 @@ impl<S: CacheSession> SimDriver<S> {
                 Err(CacheError::BlockTooLarge { .. }) => self.uncacheable += 1,
                 Err(e) => return Err(SimError::Cache(e)),
             }
-            if self.event_idx % self.census_every == self.census_every - 1 {
+            // The census lands after events census_every − 1,
+            // 2·census_every − 1, … (0-based), as a modulo test would.
+            self.until_census -= 1;
+            if self.until_census == 0 {
+                self.until_census = self.census_every;
                 let (intra, inter) = self.session.link_census();
                 self.census_intra += intra;
                 self.census_inter += inter;
