@@ -9,8 +9,8 @@
 //! `IdMap<u32>`, 1.5 MiB for a link-graph row table, 8 KiB for an
 //! [`IdSet`] bitset.
 //!
-//! Ids at or above the bound (serve's `tenant << 32 | local` for
-//! tenants ≥ 1, sparse guest PCs, crafted ids) go to a `HashMap` under
+//! Ids at or above the bound (sparse guest PCs, tenant-tagged ids a
+//! caller did not split, crafted ids) go to a `HashMap` under
 //! [`IdHasher`]: two multiply-folds instead of SipHash, still **keyed**
 //! — each table draws its key once from [`RandomState`] — so ids
 //! crafted in an untrusted trace registry cannot be aimed at one bucket
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn repo_id_shapes_spread_evenly_under_two_keys() {
         let n = 1u64 << 14;
-        // Dense registry ids, strided guest PCs, serve's `tenant << 32 | local`.
+        // Dense registry ids, strided guest PCs, tenant-tagged `tenant << 32 | local`.
         let shapes: [fn(u64) -> u64; 3] = [
             |i| i,
             |i| 0x40_0000 + i * 1000,

@@ -13,9 +13,7 @@
 //! * [`trace_bin`] — the chunked, CRC-checked binary format and the
 //!   streaming [`TraceReader`] (DESIGN.md §11);
 //! * [`stream`] — the same framing over a live byte stream, with
-//!   per-frame recovery (DESIGN.md §13);
-//! * [`dispatch`] — the dispatch-path counters of the deleted
-//!   translator, unused and slated for removal.
+//!   per-frame recovery (DESIGN.md §13).
 //!
 //! # Example
 //!
@@ -49,7 +47,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod dispatch;
 pub mod stream;
 pub mod trace_bin;
 pub mod trace_log;

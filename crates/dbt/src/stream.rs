@@ -22,7 +22,8 @@
 //!   signal to shut the connection down cleanly.
 
 use crate::trace_bin::{
-    decode_chunk, encode_event, encode_header, read_header, write_frame, MAGIC, VERSION,
+    decode_chunk, encode_chunk, encode_chunk_frame, encode_header, read_header, write_frame, MAGIC,
+    VERSION,
 };
 use crate::trace_log::{SuperblockInfo, TraceEvent, TraceLogError};
 use cce_util::crc::crc32;
@@ -40,10 +41,7 @@ pub const MAX_STREAM_FRAME_BYTES: u32 = 1 << 26;
 #[must_use]
 pub fn encode_chunk_payload(events: &[TraceEvent]) -> Vec<u8> {
     let mut payload = Vec::new();
-    cce_util::varint::write_u64(&mut payload, events.len() as u64);
-    for &ev in events {
-        encode_event(&mut payload, ev);
-    }
+    encode_chunk(&mut payload, events);
     payload
 }
 
@@ -72,7 +70,8 @@ pub fn write_frame_raw<W: Write>(w: &mut W, crc: u32, payload: &[u8]) -> Result<
 #[derive(Debug)]
 pub struct StreamWriter<W: Write> {
     writer: W,
-    payload: Vec<u8>,
+    /// The last event frame written, kept for its capacity.
+    frame: Vec<u8>,
 }
 
 impl<W: Write> StreamWriter<W> {
@@ -93,24 +92,23 @@ impl<W: Write> StreamWriter<W> {
         let payload = encode_header(name, event_count, registry);
         let mut sw = StreamWriter {
             writer,
-            payload: Vec::new(),
+            frame: Vec::new(),
         };
         write_frame(&mut sw.writer, &payload)?;
         Ok(sw)
     }
 
-    /// Frames and writes one event chunk.
+    /// Frames and writes one event chunk, handing the writer the whole
+    /// frame (length, CRC, payload) as one buffer.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from the writer.
+    /// Returns any I/O error from the writer, or
+    /// [`TraceLogError::Corrupt`] if the payload exceeds `u32::MAX` bytes.
     pub fn write_chunk(&mut self, events: &[TraceEvent]) -> Result<(), TraceLogError> {
-        self.payload.clear();
-        cce_util::varint::write_u64(&mut self.payload, events.len() as u64);
-        for &ev in events {
-            encode_event(&mut self.payload, ev);
-        }
-        write_frame(&mut self.writer, &self.payload)
+        encode_chunk_frame(&mut self.frame, events)?;
+        self.writer.write_all(&self.frame)?;
+        Ok(())
     }
 
     /// Writes a pre-encoded chunk payload with an explicit CRC — the

@@ -69,7 +69,34 @@ pub(crate) fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), Tra
     Ok(())
 }
 
-pub(crate) fn encode_event(buf: &mut Vec<u8>, ev: TraceEvent) {
+/// Bytes of a frame's length and CRC words, ahead of its payload.
+const FRAME_HEAD: usize = 8;
+
+/// Appends one event-chunk payload: varint count, then each event.
+pub(crate) fn encode_chunk(buf: &mut Vec<u8>, events: &[TraceEvent]) {
+    varint::write_u64(buf, events.len() as u64);
+    for &ev in events {
+        encode_event(buf, ev);
+    }
+}
+
+/// Encodes one whole event-chunk frame (length, CRC, payload) into
+/// `frame`, replacing its contents, so a writer takes it in one call.
+pub(crate) fn encode_chunk_frame(
+    frame: &mut Vec<u8>,
+    events: &[TraceEvent],
+) -> Result<(), TraceLogError> {
+    frame.clear();
+    frame.resize(FRAME_HEAD, 0);
+    encode_chunk(frame, events);
+    let (head, payload) = frame.split_at_mut(FRAME_HEAD);
+    let len = u32::try_from(payload.len()).map_err(|_| TraceLogError::Corrupt("frame too big"))?;
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
+}
+
+fn encode_event(buf: &mut Vec<u8>, ev: TraceEvent) {
     let TraceEvent::Access { id, direct_from } = ev;
     varint::write_u64(buf, id.0);
     match direct_from {
@@ -106,16 +133,13 @@ pub fn save_binary_chunked<W: Write>(
     writer.write_all(&MAGIC)?;
     writer.write_all(&VERSION.to_le_bytes())?;
 
-    let mut payload = encode_header(&log.name, log.events.len() as u64, &log.superblocks);
-    write_frame(&mut writer, &payload)?;
+    let header = encode_header(&log.name, log.events.len() as u64, &log.superblocks);
+    write_frame(&mut writer, &header)?;
 
+    let mut frame = Vec::new();
     for chunk in log.events.chunks(chunk_events) {
-        payload.clear();
-        varint::write_u64(&mut payload, chunk.len() as u64);
-        for &ev in chunk {
-            encode_event(&mut payload, ev);
-        }
-        write_frame(&mut writer, &payload)?;
+        encode_chunk_frame(&mut frame, chunk)?;
+        writer.write_all(&frame)?;
     }
     writer.write_all(&0u32.to_le_bytes())?; // terminator
     Ok(())
@@ -346,11 +370,9 @@ fn decode_shared(
 /// an I/O error.
 pub fn load_binary<R: Read>(mut reader: R) -> Result<TraceLog, TraceLogError> {
     let header = read_header(&mut reader)?;
-    let mut events = Vec::with_capacity(
-        usize::try_from(header.event_count)
-            .unwrap_or(0)
-            .min(1 << 24),
-    );
+    // No reservation from the header's event count: `decode_chunk`
+    // reserves each chunk's events, bounded by the bytes read.
+    let mut events = Vec::new();
     let mut payload = Vec::new();
     while read_frame(&mut reader, &mut payload, "truncated chunk")?.is_some() {
         decode_chunk(&payload, &mut events)?;

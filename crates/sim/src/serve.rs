@@ -15,13 +15,23 @@
 //! shared [`cce_core::ConcurrentSession`] while recording per-request
 //! service latency.
 //!
+//! Wire ids are tenant-tagged (`tenant << 32 | local`, see
+//! [`wire_id`]), but no tenant cache ever sees one: admission splits
+//! each id into (tenant, local), rejects a frame that strays outside its
+//! tenant or its source registry, and rewrites the batch to local
+//! indices. Every tenant's cache is therefore keyed by dense source
+//! indices — its id tables stay on their direct side and its home shard
+//! is `jump_hash(local)` — exactly as if it replayed its own stream
+//! alone.
+//!
 //! Three degradation paths are first-class, with fault injection for
 //! each ([`ServeFaults`]):
 //!
 //! * **overload** — ingress over budget sheds the batch; `dropped_*`
 //!   counters and the queue high-water mark make it visible;
-//! * **corruption** — a frame failing its CRC is rejected *per frame*
-//!   (the stream stays aligned, later frames still apply);
+//! * **corruption** — a frame failing its CRC, or naming a block outside
+//!   its tenant, is rejected *per frame* (the stream stays aligned, later
+//!   frames still apply);
 //! * **disconnect** — the generator dying mid-chunk terminates the
 //!   stream; workers drain what was queued and the run reports cleanly.
 //!
@@ -33,13 +43,13 @@
 
 use crate::pressure::{capacity_for_pressure, TraceSizing};
 use crate::simulator::{SimConfig, SimDriver, SimError};
-use cce_core::{CacheStats, ConcurrentSession, Granularity, TenantConfig, TenantId};
+use cce_core::{CacheStats, ConcurrentSession, Granularity, SuperblockId, TenantConfig, TenantId};
 use cce_dbt::stream::encode_chunk_payload;
 use cce_dbt::{FrameStream, StreamFrame, StreamWriter, SuperblockInfo, TraceEvent};
 use cce_util::crc::crc32;
 use cce_util::rng::{Rng, StdRng};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -47,6 +57,9 @@ use std::time::{Duration, Instant};
 /// Tenant-tagged wire ids: `id = tenant << 32 | local`. One stream
 /// carries every tenant's frames; the server routes on the high half.
 pub const TENANT_ID_SHIFT: u32 = 32;
+
+/// The low half of a wire id: the block's index in the source registry.
+const LOCAL_MASK: u64 = (1 << TENANT_ID_SHIFT) - 1;
 
 /// Largest Zipf exponent [`ServePlan::build`] accepts.
 pub const MAX_SKEW: f64 = 8.0;
@@ -59,6 +72,11 @@ const CHAIN_PROBABILITY: f64 = 0.7;
 /// that a stalled server exerts back-pressure on the wire, large enough
 /// to hold several frames.
 const PIPE_CAPACITY: usize = 64 * 1024;
+
+/// Events [`offline_baseline`] localizes and feeds at a time: its one
+/// scratch buffer never grows past this, whatever a tenant's stream
+/// length.
+const LOCALIZE_CHUNK: usize = 4096;
 
 /// How the generated byte stream reaches the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,7 +280,7 @@ impl ServePlan {
             clock_nanos += -(1.0 - u).ln() / cfg.rps * 1e9;
             let tenant = rng.gen_range(0..cfg.tenants);
             let mut events = Vec::with_capacity(cfg.batch_events);
-            let mut prev: Option<cce_core::SuperblockId> = None;
+            let mut prev: Option<SuperblockId> = None;
             for _ in 0..cfg.batch_events {
                 let pick = rng.next_f64() * total;
                 let local = cdf.partition_point(|&c| c < pick).min(cdf.len() - 1);
@@ -296,18 +314,60 @@ impl ServePlan {
             tenant_capacity,
         })
     }
+
+    /// The source registry every tenant's cache is built over: tenant
+    /// 0's slice of [`ServePlan::registry`], whose wire ids are already
+    /// the local indices admission rewrites every frame to.
+    #[must_use]
+    pub fn source_registry(&self) -> &[SuperblockInfo] {
+        let len = self.registry.len() / self.per_tenant.len().max(1);
+        &self.registry[..len]
+    }
 }
 
 /// The tenant-tagged wire id for `local` within `tenant`.
 #[must_use]
-pub fn wire_id(tenant: usize, local: usize) -> cce_core::SuperblockId {
-    cce_core::SuperblockId(((tenant as u64) << TENANT_ID_SHIFT) | local as u64)
+pub fn wire_id(tenant: usize, local: usize) -> SuperblockId {
+    SuperblockId(((tenant as u64) << TENANT_ID_SHIFT) | local as u64)
 }
 
 /// Which tenant a wire id belongs to.
 #[must_use]
-pub fn tenant_of(id: cce_core::SuperblockId) -> usize {
+pub fn tenant_of(id: SuperblockId) -> usize {
     (id.0 >> TENANT_ID_SHIFT) as usize
+}
+
+/// Rewrites a frame of `tenant`'s wire ids, in place, to local source
+/// indices. `Err` carries the first id or chain source that belongs to
+/// another tenant or indexes past the `sources`-entry source registry;
+/// the frame is then partly rewritten and must be discarded.
+fn localize(events: &mut [TraceEvent], tenant: usize, sources: u64) -> Result<(), SuperblockId> {
+    let local = |wire: SuperblockId| {
+        let idx = wire.0 & LOCAL_MASK;
+        if tenant_of(wire) == tenant && idx < sources {
+            Ok(SuperblockId(idx))
+        } else {
+            Err(wire)
+        }
+    };
+    for ev in events {
+        let TraceEvent::Access { id, direct_from } = ev;
+        *id = local(*id)?;
+        if let Some(from) = direct_from {
+            *from = local(*from)?;
+        }
+    }
+    Ok(())
+}
+
+/// `tenant`'s wire form of a localized event.
+fn to_wire(ev: TraceEvent, tenant: usize) -> TraceEvent {
+    let TraceEvent::Access { id, direct_from } = ev;
+    let wire = |local: SuperblockId| wire_id(tenant, local.0 as usize);
+    TraceEvent::Access {
+        id: wire(id),
+        direct_from: direct_from.map(wire),
+    }
 }
 
 /// Request-latency percentiles over the run, in nanoseconds (enqueue at
@@ -374,8 +434,8 @@ pub struct ServeReport {
     pub latency: LatencySummary,
     /// Per-tenant cache outcomes.
     pub per_tenant: Vec<TenantServeStats>,
-    /// Per-tenant applied-event logs, present when
-    /// [`ServeConfig::record_events`] was set.
+    /// Per-tenant applied-event logs in wire ids (as offered), present
+    /// when [`ServeConfig::record_events`] was set.
     pub applied_log: Option<Vec<Vec<TraceEvent>>>,
 }
 
@@ -465,10 +525,7 @@ impl Read for PipeReader {
         let mut g = lock(&self.0.buf);
         loop {
             if !g.data.is_empty() {
-                let n = out.len().min(g.data.len());
-                for slot in out.iter_mut().take(n) {
-                    *slot = g.data.pop_front().unwrap_or_default();
-                }
+                let n = g.data.read(out)?;
                 drop(g);
                 self.0.writable.notify_one();
                 return Ok(n);
@@ -527,6 +584,7 @@ impl<W: Write> Write for LimitWriter<W> {
 /// One batch admitted into a worker lane.
 struct Batch {
     tenant: usize,
+    /// The frame's events, in local source indices.
     events: Vec<TraceEvent>,
     enqueued_at: Instant,
 }
@@ -570,14 +628,20 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 /// Replays [`ServePlan::per_tenant`] offline against the identical
 /// cache geometry and returns each tenant's [`CacheStats`] — the
 /// reference a fault-free, single-threaded serve run must reproduce
-/// exactly.
+/// exactly. Like the server, each tenant replays in local source
+/// indices over [`ServePlan::source_registry`]; its wire stream is
+/// localized through one bounded scratch buffer, never copied whole.
 ///
 /// # Errors
 ///
-/// Propagates cache-construction and replay errors.
+/// [`SimError::UnknownSuperblock`] for a plan event outside its
+/// tenant's source registry; propagates cache-construction and replay
+/// errors.
 pub fn offline_baseline(plan: &ServePlan, cfg: &ServeConfig) -> Result<Vec<CacheStats>, SimError> {
     let session = build_session(plan, cfg)?;
     let sim = SimConfig::default();
+    let sources = plan.source_registry();
+    let mut local = Vec::with_capacity(LOCALIZE_CHUNK);
     for (tenant, events) in plan.per_tenant.iter().enumerate() {
         if events.is_empty() {
             continue;
@@ -585,13 +649,19 @@ pub fn offline_baseline(plan: &ServePlan, cfg: &ServeConfig) -> Result<Vec<Cache
         let handle = session.tenant(TenantId(tenant as u32));
         let mut driver = SimDriver::new(
             &plan.name,
-            &plan.registry,
+            sources,
             events.len() as u64,
             handle,
             cfg.granularity.label(),
             &sim,
         )?;
-        driver.feed(events)?;
+        for chunk in events.chunks(LOCALIZE_CHUNK) {
+            local.clear();
+            local.extend_from_slice(chunk);
+            localize(&mut local, tenant, sources.len() as u64)
+                .map_err(SimError::UnknownSuperblock)?;
+            driver.feed(&local)?;
+        }
         let _ = driver.finish()?;
     }
     Ok((0..cfg.tenants)
@@ -672,16 +742,21 @@ pub fn run_serve(plan: &ServePlan, cfg: &ServeConfig) -> Result<ServeReport, Sim
 
         // The decode loop runs on this thread: frames off the wire,
         // batches into lanes.
-        match FrameStream::new(reader) {
+        let sources = plan.source_registry().len() as u64;
+        match FrameStream::new(BufReader::new(reader)) {
             Ok(mut stream) => loop {
                 match stream.next_frame() {
-                    Ok(StreamFrame::Events(events)) => {
+                    Ok(StreamFrame::Events(mut events)) => {
                         if events.is_empty() {
                             continue;
                         }
+                        // The first event names the frame's tenant; every
+                        // id must stay inside it.
                         let TraceEvent::Access { id, .. } = events[0];
                         let tenant = tenant_of(id);
-                        if tenant >= cfg.tenants {
+                        let inside =
+                            tenant < cfg.tenants && localize(&mut events, tenant, sources).is_ok();
+                        if !inside {
                             rejected_frames += 1;
                             continue;
                         }
@@ -874,7 +949,8 @@ fn generate<W: Write>(plan: &ServePlan, cfg: &ServeConfig, writer: W) -> GenOut 
 
 /// One server worker: pops batches for its tenants (tenant `t` belongs
 /// to worker `t % threads`), applies them through the shared session
-/// via the same [`SimDriver`] core offline replay uses, and records
+/// via the same [`SimDriver`] core offline replay uses — over the
+/// source registry, since batches arrive in local indices — and records
 /// service latency per batch.
 fn serve_worker(
     plan: &ServePlan,
@@ -913,7 +989,7 @@ fn serve_worker(
                     let handle = session.tenant(TenantId(batch.tenant as u32));
                     match SimDriver::new(
                         &plan.name,
-                        &plan.registry,
+                        plan.source_registry(),
                         plan.event_count.max(1),
                         handle,
                         cfg.granularity.label(),
@@ -936,7 +1012,8 @@ fn serve_worker(
                 } else {
                     applied[batch.tenant] += count as u64;
                     if cfg.record_events {
-                        log[batch.tenant].extend_from_slice(&batch.events);
+                        let wire = batch.events.iter().map(|&ev| to_wire(ev, batch.tenant));
+                        log[batch.tenant].extend(wire);
                     }
                     if cfg.faults.apply_delay_micros > 0 {
                         std::thread::sleep(Duration::from_micros(cfg.faults.apply_delay_micros));
@@ -975,7 +1052,7 @@ mod tests {
     fn registry(n: u64) -> Vec<SuperblockInfo> {
         (0..n)
             .map(|i| SuperblockInfo {
-                id: cce_core::SuperblockId(i * 17 + 3), // deliberately sparse ids
+                id: SuperblockId(i * 17 + 3), // deliberately sparse ids
                 head_pc: cce_tinyvm::program::Pc(i * 100),
                 size: 120 + (i as u32 % 5) * 40,
                 guest_blocks: 4,

@@ -7,9 +7,12 @@
 //!
 //! Every case runs at 1, 2 and 4 threads.
 
+use cce_core::{ShardedCache, SuperblockId};
 use cce_dbt::stream::encode_chunk_payload;
-use cce_sim::serve::{offline_baseline, ServePlan};
-use cce_sim::{run_serve, ServeConfig};
+use cce_dbt::TraceEvent;
+use cce_sim::serve::{offline_baseline, ServePlan, TENANT_ID_SHIFT};
+use cce_sim::simulator::simulate_event_chunks;
+use cce_sim::{run_serve, ServeConfig, SimConfig};
 use cce_workloads::catalog;
 
 /// Unloaded, seed-pinned config: the rate is far beyond the plan size,
@@ -89,5 +92,47 @@ fn seeded_serve_runs_are_reproducible() {
     assert_eq!(a.applied_log, b.applied_log);
     for (x, y) in a.per_tenant.iter().zip(&b.per_tenant) {
         assert_eq!(x.stats, y.stats);
+    }
+}
+
+/// Tenant `t`'s wire stream in local source indices.
+fn local_stream(wire: &[TraceEvent]) -> Vec<TraceEvent> {
+    let local = |id: SuperblockId| SuperblockId(id.0 & ((1 << TENANT_ID_SHIFT) - 1));
+    wire.iter()
+        .map(
+            |&TraceEvent::Access { id, direct_from }| TraceEvent::Access {
+                id: local(id),
+                direct_from: direct_from.map(local),
+            },
+        )
+        .collect()
+}
+
+#[test]
+fn each_serve_tenant_matches_a_solo_sharded_replay_of_its_local_stream() {
+    let cfg = cfg(1);
+    let plan = plan(&cfg);
+    let report = run_serve(&plan, &cfg).unwrap();
+    assert_eq!(report.applied_events, plan.event_count);
+    for (t, wire) in plan.per_tenant.iter().enumerate() {
+        let events = local_stream(wire);
+        let solo =
+            ShardedCache::with_granularity(cfg.granularity, plan.tenant_capacity, cfg.shards)
+                .unwrap();
+        // Over the source registry alone: a wire id would be unknown.
+        let result = simulate_event_chunks(
+            &plan.name,
+            plan.source_registry(),
+            events.len() as u64,
+            [Ok::<_, String>(events)],
+            solo,
+            cfg.granularity.label(),
+            &SimConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(
+            report.per_tenant[t].stats, result.stats,
+            "tenant {t}: serve stats differ from a solo replay of its local stream"
+        );
     }
 }

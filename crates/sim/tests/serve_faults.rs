@@ -12,7 +12,8 @@ use std::time::Duration;
 
 use cce_core::SuperblockId;
 use cce_dbt::SuperblockInfo;
-use cce_sim::serve::{ServePlan, ServeReport};
+use cce_dbt::TraceEvent;
+use cce_sim::serve::{tenant_of, wire_id, ServePlan, ServeReport};
 use cce_sim::{run_serve, ServeConfig, ServeFaults};
 use cce_tinyvm::program::Pc;
 
@@ -48,9 +49,18 @@ fn base_cfg() -> ServeConfig {
 /// Runs the scenario on its own thread and panics if it outlives the
 /// watchdog instead of letting CI hang.
 fn serve_with_watchdog(cfg: ServeConfig) -> (ServePlan, ServeReport) {
+    serve_edited_with_watchdog(cfg, |_| {})
+}
+
+/// [`serve_with_watchdog`] on a plan that `edit` rewrote by hand first.
+fn serve_edited_with_watchdog(
+    cfg: ServeConfig,
+    edit: fn(&mut ServePlan),
+) -> (ServePlan, ServeReport) {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let plan = ServePlan::build(&registry(24), "faults", &cfg).unwrap();
+        let mut plan = ServePlan::build(&registry(24), "faults", &cfg).unwrap();
+        edit(&mut plan);
         let report = run_serve(&plan, &cfg).unwrap();
         // A hung serve loop means nobody is listening; ignore that.
         let _ = tx.send((plan, report));
@@ -145,4 +155,57 @@ fn sustained_overload_sheds_batches_against_the_bounded_ingress() {
     // The queue drains completely before shutdown: bounded memory and
     // no abandoned work.
     assert_eq!(report.applied_events, report.delivered_events);
+}
+
+/// Requests `mixed_tenant_frames_are_rejected_whole` spoils, each between
+/// clean ones: an id of another tenant, a chain source of another
+/// tenant, and a local index past the 24-entry source registry.
+const SPOILED: [usize; 3] = [10, 40, 70];
+
+fn spoil(plan: &mut ServePlan) {
+    let tenants = plan.per_tenant.len();
+    for (k, &i) in SPOILED.iter().enumerate() {
+        let req = &mut plan.requests[i];
+        let other = (req.tenant + 1) % tenants;
+        let TraceEvent::Access { id, direct_from } = &mut req.events[3];
+        match k {
+            0 => *id = wire_id(other, 5),
+            1 => *direct_from = Some(wire_id(other, 0)),
+            _ => *id = wire_id(req.tenant, 24),
+        }
+    }
+}
+
+#[test]
+fn mixed_tenant_frames_are_rejected_whole() {
+    let cfg = ServeConfig {
+        threads: 1,
+        record_events: true,
+        ..base_cfg()
+    };
+    let (plan, report) = serve_edited_with_watchdog(cfg, spoil);
+    assert_eq!(report.rejected_frames, SPOILED.len() as u64);
+    assert!(!report.disconnected, "rejection must not kill the stream");
+    assert_eq!(report.dropped_events, 0);
+    assert_eq!(
+        report.applied_events,
+        plan.event_count - (SPOILED.len() * cfg.batch_events) as u64
+    );
+    // Each tenant applied exactly its clean requests, in order, and
+    // nothing of another tenant: later frames still apply.
+    let mut expect = vec![Vec::new(); cfg.tenants];
+    for (i, req) in plan.requests.iter().enumerate() {
+        if !SPOILED.contains(&i) {
+            expect[req.tenant].extend_from_slice(&req.events);
+        }
+    }
+    let log = report.applied_log.expect("record_events was set");
+    for (t, applied) in log.iter().enumerate() {
+        assert_eq!(applied, &expect[t], "tenant {t}");
+        assert!(applied
+            .iter()
+            .all(|&TraceEvent::Access { id, direct_from }| {
+                tenant_of(id) == t && direct_from.is_none_or(|f| tenant_of(f) == t)
+            }));
+    }
 }
