@@ -3,6 +3,12 @@
 # (`default-members` in the root manifest makes plain `cargo test -q`
 # cover all crates, same as tier-1), the analyzer's repo gate, the
 # benchmark's smoke pass and its unit tests.
+#
+# Clippy is the panic gate: the roots of cce-core, cce-sim and cce-dbt
+# warn on `unwrap_used`, `expect_used` and `panic` outside tests, and
+# each allowed site carries `#[expect(<lint>, reason = "…")]`. Under
+# `-D warnings` it is also the stale-expectation gate: an `#[expect]`
+# whose site was fixed no longer fires, and that fails the step.
 set -eux
 
 cargo fmt --all --check
@@ -12,13 +18,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --release
 cargo test -q
-# The workspace gate: hard-fails on any finding above the committed
-# baseline, on a stale baseline, or if analysis blows its wall-time
-# budget. (Each lint's violating/clean fixture pair is checked with
-# exact finding counts by crates/analyze/tests/golden.rs in the test
-# pass above.) The SARIF log is emitted alongside for upload/inspection.
-cargo run -p cce-analyze -- --baseline analyze-baseline.json --budget-ms 5000
-cargo run -q -p cce-analyze -- --baseline analyze-baseline.json --format sarif > analyze.sarif || true
+# The workspace gate: hard-fails on any nondet-taint finding or if
+# analysis blows its wall-time budget. (The violating/clean fixture
+# pairs are checked with exact finding counts by
+# crates/analyze/tests/golden.rs in the test pass above.) The SARIF log
+# is emitted alongside for upload/inspection.
+cargo run -p cce-analyze -- --budget-ms 5000
+cargo run -q -p cce-analyze -- --format sarif > analyze.sarif || true
 head -c 400 analyze.sarif; echo
 # The benchmark crate builds against the workspace's public API and
 # checks each of its eight workloads against a reference; an API break

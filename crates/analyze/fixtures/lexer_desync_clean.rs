@@ -18,10 +18,18 @@ fn escapes() -> char {
     let _uni = '\u{1F600}';
     let _uni_short = '\u{7e}';
     // If any literal above desynced the lexer, these strings would
-    // terminate early and leak panic-path bait as real code tokens.
-    let _trap = "literal text: value.unwrap() stays inside this string";
-    let _trap2 = "still a string: x.expect(\"nope\") and panic!(\"no\")";
+    // terminate early and leak nondet-taint bait as real code tokens
+    // inside a sink.
+    let _trap = "literal text: Instant::now() stays inside this string";
+    let _trap2 = "still a string: \"map.iter()\" and available_parallelism()";
     hex
+}
+
+/// A sink: any source token that leaked into its body would be flagged.
+pub fn sink(sink: &mut dyn EventSink) -> char {
+    let _trap = "a sink's string: Instant::now(), std::thread::available_parallelism()";
+    sink.on_char(escapes());
+    escapes()
 }
 
 fn comments_stay_comments() -> u32 {

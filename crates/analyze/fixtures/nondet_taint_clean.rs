@@ -1,6 +1,6 @@
 //! Fixture: the clean counterpart of `nondet_taint_violating.rs`.
 //! Ordered containers feeding sinks, hash iteration with no path to
-//! any sink, and an annotated (legacy-name) exception all pass.
+//! any sink, and an annotated exception all pass.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -23,11 +23,10 @@ pub fn scratch_census(ids: &[u64]) -> usize {
     seen.iter().filter(|&(_, &n)| n > 1).count()
 }
 
-/// The annotation's *old* lint name (`nondet-iter`) still suppresses
-/// its successor.
+/// An annotated source is suppressed.
 pub fn emit_summary(sink: &mut dyn EventSink, counts: &HashMap<String, u64>) {
     let mut rows: Vec<(&String, &u64)> =
-        // cce-analyze: allow(nondet-iter): rows are sorted before emission
+        // cce-analyze: allow(nondet-taint): rows are sorted before emission
         counts.iter().collect();
     rows.sort();
     for (name, hits) in rows {

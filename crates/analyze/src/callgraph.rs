@@ -10,13 +10,10 @@
 //!   every `f` (the qualifier may be a module);
 //! * bare `f(…)` and method calls on locals resolve to every known `f`.
 //!
-//! Receiver classes are kept on each edge so clients choose their own
-//! precision/soundness trade-off: the determinism-taint lint walks the
-//! full graph (over-approximate — a missed edge would be an unsound
-//! "clean"), while the event-typestate lint drops
-//! [`ReceiverKind::Local`] and [`ReceiverKind::SelfField`] method
-//! edges, whose targets are almost always other types' methods that
-//! happen to share a name.
+//! Receiver classes are kept on each edge so a client can choose its
+//! own precision/soundness trade-off; the determinism-taint lint walks
+//! the full graph (over-approximate — a missed edge would be an unsound
+//! "clean").
 
 use std::collections::VecDeque;
 

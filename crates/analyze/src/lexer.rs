@@ -9,9 +9,8 @@
 //! * comment text (line, block, doc, nested block) never becomes tokens,
 //!   so code quoted in doc examples cannot trigger findings;
 //! * string/char/byte/raw-string literals become single tokens carrying
-//!   their body, so `"2.77"` inside a report template is visible to the
-//!   cost-constant lint but `.unwrap()` inside a message string is not a
-//!   method call;
+//!   their body, so `.iter()` inside a message string is not a method
+//!   call;
 //! * `// cce-analyze: allow(<lint>): <reason>` annotations are collected
 //!   during the scan with their line numbers.
 
@@ -447,54 +446,6 @@ fn parse_allow(comment: &str, line: u32) -> Option<Allow> {
     Some(Allow { line, lint, reason })
 }
 
-/// Numeric value of a number token, if it parses (underscores and type
-/// suffixes stripped; hex/octal/binary handled).
-#[must_use]
-pub fn number_value(text: &str) -> Option<f64> {
-    let t: String = text.chars().filter(|&c| c != '_').collect();
-    if let Some(hex) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-        let digits: String = hex.chars().take_while(|c| c.is_ascii_hexdigit()).collect();
-        return u64::from_str_radix(&digits, 16).ok().map(|v| v as f64);
-    }
-    if let Some(oct) = t.strip_prefix("0o") {
-        let digits: String = oct.chars().take_while(|c| ('0'..'8').contains(c)).collect();
-        return u64::from_str_radix(&digits, 8).ok().map(|v| v as f64);
-    }
-    if let Some(bin) = t.strip_prefix("0b") {
-        let digits: String = bin.chars().take_while(|&c| c == '0' || c == '1').collect();
-        return u64::from_str_radix(&digits, 2).ok().map(|v| v as f64);
-    }
-    // Strip a type suffix (`u32`, `f64`, …): the numeric body is the
-    // leading run of digits, dots and a well-formed exponent; the first
-    // other letter starts the suffix.
-    let bytes = t.as_bytes();
-    let mut end = 0usize;
-    while end < bytes.len() {
-        let c = bytes[end];
-        if c.is_ascii_digit() || c == b'.' {
-            end += 1;
-        } else if (c == b'e' || c == b'E') && exponent_follows(bytes, end) {
-            end += 1;
-            if matches!(bytes.get(end), Some(b'+' | b'-')) {
-                end += 1;
-            }
-        } else {
-            break;
-        }
-    }
-    t[..end].parse::<f64>().ok()
-}
-
-/// True when the byte after an `e`/`E` at `at` makes it an exponent
-/// (a digit, or a sign then a digit) rather than a type suffix.
-fn exponent_follows(bytes: &[u8], at: usize) -> bool {
-    match bytes.get(at + 1) {
-        Some(d) if d.is_ascii_digit() => true,
-        Some(b'+' | b'-') => bytes.get(at + 2).is_some_and(u8::is_ascii_digit),
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,19 +507,15 @@ mod tests {
             .map(|t| t.text.as_str())
             .collect();
         assert_eq!(nums, vec!["0", "6u32", "2.77", "1_000f64", "0", "1e-3"]);
-        assert_eq!(number_value("6u32"), Some(6.0));
-        assert_eq!(number_value("2.77"), Some(2.77));
-        assert_eq!(number_value("1_000f64"), Some(1000.0));
-        assert_eq!(number_value("0x1F"), Some(31.0));
     }
 
     #[test]
     fn allow_annotations_are_collected() {
-        let src = "\n// cce-analyze: allow(nondet-iter): order-independent sum\nlet x = 1;\n// cce-analyze: allow(cost-constant)\n";
+        let src = "\n// cce-analyze: allow(nondet-taint): order-independent sum\nlet x = 1;\n// cce-analyze: allow(nondet-taint)\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 2);
         assert_eq!(lexed.allows[0].line, 2);
-        assert_eq!(lexed.allows[0].lint, "nondet-iter");
+        assert_eq!(lexed.allows[0].lint, "nondet-taint");
         assert_eq!(lexed.allows[0].reason, "order-independent sum");
         assert_eq!(lexed.allows[1].reason, "", "missing reason is inert");
     }

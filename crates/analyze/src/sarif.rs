@@ -5,8 +5,7 @@
 //! `tool.driver.rules`, one `result` per finding with a physical
 //! location, and — when a finding carries an interprocedural trace —
 //! a `codeFlows`/`threadFlows` chain so viewers can step the call
-//! path from sink declaration to nondeterminism source (or from lock
-//! hold site to conflicting acquisition).
+//! path from sink declaration to nondeterminism source.
 
 use std::collections::BTreeSet;
 
@@ -21,18 +20,6 @@ fn rule_help(lint: &str) -> &'static str {
             "A nondeterminism source (hash-order iteration, wall-clock time, \
              parallelism probe, unordered channel) reaches an event-emitting or \
              SimResult-producing function through the call graph."
-        }
-        crate::lints::COST_CONSTANT => {
-            "Paper-derived cost-model constants must live in cce_core::cost."
-        }
-        crate::lints::PANIC_PATH => {
-            "unwrap/expect/panic on a library path; return an error instead."
-        }
-        crate::lints::EVENT_TYPESTATE => {
-            "Every path from EvictionBegin must emit exactly one EvictionEnd \
-             before function exit; no nested scopes; Evicted/Unlinked only \
-             inside an open scope. CacheEvent construction stays confined to \
-             the event machinery."
         }
         _ => "cce-analyze finding.",
     }
@@ -146,15 +133,17 @@ pub fn to_sarif(findings: &[Finding]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::{Finding, TraceHop, NONDET_TAINT, PANIC_PATH};
+    use crate::lints::{Finding, TraceHop, NONDET_TAINT};
 
     fn sample() -> Vec<Finding> {
-        let mut with_trace = Finding::new(
-            "crates/core/src/a.rs",
-            7,
-            NONDET_TAINT,
-            "HashMap iteration reaches sink".to_owned(),
-        );
+        let finding = |file: &str, line, message: &str| Finding {
+            file: file.to_owned(),
+            line,
+            lint: NONDET_TAINT,
+            message: message.to_owned(),
+            trace: Vec::new(),
+        };
+        let mut with_trace = finding("crates/core/src/a.rs", 7, "HashMap iteration reaches sink");
         with_trace.trace = vec![
             TraceHop {
                 file: "crates/core/src/a.rs".to_owned(),
@@ -169,12 +158,7 @@ mod tests {
         ];
         vec![
             with_trace,
-            Finding::new(
-                "crates/core/src/b.rs",
-                11,
-                PANIC_PATH,
-                "unwrap on a library path".to_owned(),
-            ),
+            finding("crates/core/src/b.rs", 11, "Instant::now reaches sink"),
         ]
     }
 
@@ -193,7 +177,7 @@ mod tests {
             .iter()
             .filter_map(|r| r.get("id").and_then(Json::as_str))
             .collect();
-        assert_eq!(ids, vec![NONDET_TAINT, PANIC_PATH]);
+        assert_eq!(ids, vec![NONDET_TAINT], "one rule per lint");
         assert_eq!(run.get("results").and_then(Json::as_arr).unwrap().len(), 2);
     }
 

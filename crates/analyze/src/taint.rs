@@ -23,8 +23,8 @@
 //! The sink→source path is found by BFS over the **full** conservative
 //! call graph — over-approximate by design, since a missed edge here
 //! would be an unsound "clean". Each finding is reported at the source
-//! site (so baselines bucket by the file that owns the
-//! nondeterminism) and carries the call path as trace hops.
+//! site (the file that owns the nondeterminism) and carries the call
+//! path as trace hops.
 
 use std::collections::VecDeque;
 
@@ -554,21 +554,6 @@ pub fn drain_workers(rx: &Receiver<u64>, sink: &mut dyn EventSink) {
         assert!(descs[1].contains("available_parallelism"));
         assert!(descs[2].contains("try_recv"));
         assert!(f.iter().all(|f| f.message.contains("inside sink")));
-    }
-
-    #[test]
-    fn legacy_nondet_iter_allow_suppresses() {
-        let f = findings(
-            "
-use std::collections::HashMap;
-pub fn emit(m: &HashMap<u64, u64>, sink: &mut dyn EventSink) {
-    // cce-analyze: allow(nondet-iter): values are summed, order-free
-    let total: u64 = m.values().sum();
-    sink.insert(total);
-}
-",
-        );
-        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

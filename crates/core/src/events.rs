@@ -23,10 +23,61 @@
 //! incoming links had to be unpatched, and fills in
 //! [`CacheEvent::EvictionEnd::links_dropped_free`]. `Hit`/`Miss` events
 //! are emitted by [`crate::CodeCache::access`] to the observer only.
+//!
+//! One `EvictionBegin … EvictionEnd` run is one eviction invocation,
+//! the unit Eq. 2 charges its fixed cost to, so the grammar is a type
+//! rather than a convention. The four eviction variants are
+//! `#[non_exhaustive]`: no crate but this one can construct them, and
+//! outside it they are matched with `{ .. }`. Everywhere except the
+//! cache's own settling code (`cache.rs`, `shard.rs`) they are emitted
+//! through an [`EvictionScope`], which opens an invocation on its first
+//! victim and closes it exactly once, in `Drop` if nothing closed it
+//! first, so an early return or `?` cannot leave a run open.
 
 use crate::ids::SuperblockId;
 
 /// One cache lifecycle event. `Copy`, 16 bytes — streams allocation-free.
+///
+/// The eviction variants are sealed: other crates read them, matching
+/// with `{ .. }`, and emit them only through an [`EvictionScope`].
+///
+/// ```
+/// use cce_core::{CacheEvent, EventBuffer, EvictionScope, SuperblockId};
+///
+/// let mut buf = EventBuffer::new();
+/// let mut scope = EvictionScope::new(&mut buf);
+/// scope.evict(SuperblockId(1), 64);
+/// scope.unlinked(2);
+/// scope.close(1);
+/// let invocations = buf
+///     .events()
+///     .iter()
+///     .filter(|e| matches!(e, CacheEvent::EvictionBegin { .. }))
+///     .count();
+/// assert_eq!(invocations, 1);
+/// assert!(matches!(
+///     buf.events()[3],
+///     CacheEvent::EvictionEnd { bytes: 64, links_dropped_free: 1, .. }
+/// ));
+/// ```
+///
+/// None of them can be built outside `cce-core`:
+///
+/// ```compile_fail,E0603
+/// let _ = cce_core::CacheEvent::EvictionBegin;
+/// ```
+///
+/// ```compile_fail,E0639
+/// let _ = cce_core::CacheEvent::Evicted { id: cce_core::SuperblockId(1), size: 8 };
+/// ```
+///
+/// ```compile_fail,E0639
+/// let _ = cce_core::CacheEvent::EvictionEnd { bytes: 8, links_dropped_free: 0 };
+/// ```
+///
+/// ```compile_fail,E0639
+/// let _ = cce_core::CacheEvent::Unlinked { id: cce_core::SuperblockId(1), links: 1 };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEvent {
     /// A lookup found `id` resident.
@@ -54,8 +105,10 @@ pub enum CacheEvent {
         bytes: u64,
     },
     /// An eviction-mechanism invocation starts (Eq. 2 fixed cost).
+    #[non_exhaustive]
     EvictionBegin,
     /// One superblock removed by the current invocation.
+    #[non_exhaustive]
     Evicted {
         /// The removed superblock.
         id: SuperblockId,
@@ -63,6 +116,7 @@ pub enum CacheEvent {
         size: u32,
     },
     /// The current invocation is complete.
+    #[non_exhaustive]
     EvictionEnd {
         /// Total bytes freed by the invocation (Eq. 2 per-byte cost).
         bytes: u64,
@@ -75,6 +129,7 @@ pub enum CacheEvent {
     /// An evicted block had `links` incoming links from survivors that
     /// were unpatched through the back-pointer table (Eq. 4's
     /// `numLinks`). Settled stream only.
+    #[non_exhaustive]
     Unlinked {
         /// The evicted block whose incoming links were unpatched.
         id: SuperblockId,
@@ -191,15 +246,17 @@ impl EventSink for CountingSink<'_> {
     }
 }
 
-/// Helper for organizations: lazily opens an eviction invocation on the
-/// first victim and closes it (with the byte total) on [`Self::finish`].
+/// Emits one eviction invocation: lazily opens it on the first victim
+/// and closes it exactly once, with the byte total, on [`Self::close`] or
+/// [`Self::finish`], or in `Drop` on any other way out of the scope.
 ///
 /// This keeps the "no empty invocations" invariant without the
 /// organization having to know up front whether any block will actually
 /// die (the generational nursery, for instance, may promote everything).
 pub struct EvictionScope<'a> {
     sink: &'a mut dyn EventSink,
-    begun: bool,
+    /// The latest victim while an invocation is open.
+    open: Option<SuperblockId>,
     bytes: u64,
 }
 
@@ -208,30 +265,57 @@ impl<'a> EvictionScope<'a> {
     pub fn new(sink: &'a mut dyn EventSink) -> EvictionScope<'a> {
         EvictionScope {
             sink,
-            begun: false,
+            open: None,
             bytes: 0,
         }
     }
 
     /// Reports one evicted block, opening the invocation if needed.
     pub fn evict(&mut self, id: SuperblockId, size: u32) {
-        if !self.begun {
-            self.begun = true;
+        if self.open.is_none() {
             self.sink.event(CacheEvent::EvictionBegin);
         }
+        self.open = Some(id);
         self.bytes += u64::from(size);
         self.sink.event(CacheEvent::Evicted { id, size });
     }
 
-    /// Closes the invocation. Returns true if any block was evicted.
-    pub fn finish(self) -> bool {
-        if self.begun {
-            self.sink.event(CacheEvent::EvictionEnd {
-                bytes: self.bytes,
-                links_dropped_free: 0,
-            });
+    /// Reports that the block just evicted had `links` incoming links
+    /// from survivors unpatched (Eq. 4). No-op before the first victim.
+    pub fn unlinked(&mut self, links: u32) {
+        if let Some(id) = self.open {
+            self.sink.event(CacheEvent::Unlinked { id, links });
         }
-        self.begun
+    }
+
+    /// Closes the invocation, recording `links_dropped_free` links that
+    /// died without unpatching work. Returns true if any block was
+    /// evicted.
+    pub fn close(mut self, links_dropped_free: u64) -> bool {
+        self.end(links_dropped_free)
+    }
+
+    /// [`Self::close`] with no links dropped for free, as organizations
+    /// (which never see links) close their invocations.
+    pub fn finish(self) -> bool {
+        self.close(0)
+    }
+
+    fn end(&mut self, links_dropped_free: u64) -> bool {
+        if self.open.take().is_none() {
+            return false;
+        }
+        self.sink.event(CacheEvent::EvictionEnd {
+            bytes: self.bytes,
+            links_dropped_free,
+        });
+        true
+    }
+}
+
+impl Drop for EvictionScope<'_> {
+    fn drop(&mut self) {
+        self.end(0);
     }
 }
 
@@ -304,6 +388,58 @@ mod tests {
                 CacheEvent::EvictionEnd {
                     bytes: 40,
                     links_dropped_free: 0
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn eviction_scope_closes_on_every_exit() {
+        fn evict_two(sink: &mut dyn EventSink, bail: Option<()>) -> Option<bool> {
+            let mut scope = EvictionScope::new(sink);
+            scope.evict(sb(1), 10);
+            scope.evict(sb(2), 30);
+            bail?;
+            Some(scope.finish())
+        }
+        let ends = |buf: &EventBuffer| -> Vec<CacheEvent> {
+            buf.events()
+                .iter()
+                .copied()
+                .filter(|e| matches!(e, CacheEvent::EvictionEnd { .. }))
+                .collect()
+        };
+        let end = CacheEvent::EvictionEnd {
+            bytes: 40,
+            links_dropped_free: 0,
+        };
+
+        let mut left_early = EventBuffer::new();
+        assert_eq!(evict_two(&mut left_early, None), None);
+        assert_eq!(ends(&left_early), [end], "Drop closes the run once");
+        assert_eq!(left_early.events().last(), Some(&end));
+
+        let mut finished = EventBuffer::new();
+        assert_eq!(evict_two(&mut finished, Some(())), Some(true));
+        assert_eq!(finished.events(), left_early.events());
+
+        let mut closed = EventBuffer::new();
+        let mut scope = EvictionScope::new(&mut closed);
+        scope.evict(sb(3), 8);
+        scope.unlinked(2);
+        assert!(scope.close(5));
+        assert_eq!(
+            closed.events(),
+            &[
+                CacheEvent::EvictionBegin,
+                CacheEvent::Evicted { id: sb(3), size: 8 },
+                CacheEvent::Unlinked {
+                    id: sb(3),
+                    links: 2
+                },
+                CacheEvent::EvictionEnd {
+                    bytes: 8,
+                    links_dropped_free: 5
                 },
             ]
         );

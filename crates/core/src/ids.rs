@@ -60,6 +60,7 @@ impl Granularity {
     ///
     /// Panics if `n == 0`.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "documented panic on a zero unit count")]
     pub fn units(n: u32) -> Granularity {
         Granularity::Units(NonZeroU32::new(n).expect("unit count must be nonzero"))
     }

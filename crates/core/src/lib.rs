@@ -49,6 +49,10 @@
 //! ```
 
 #![deny(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cache;
 pub mod concurrent;

@@ -145,8 +145,13 @@ impl AdaptiveUnits {
             return;
         }
         self.inner.flush_events(sink);
-        self.inner =
+        #[expect(
+            clippy::expect_used,
+            reason = "the unit-count bounds were validated at construction"
+        )]
+        let inner =
             UnitFifo::new(self.capacity, target).expect("bounds were validated at construction");
+        self.inner = inner;
         self.adaptations += 1;
     }
 }

@@ -122,6 +122,10 @@ impl AffinityUnits {
     }
 
     /// The FIFO victim: the unit whose last flush is oldest.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor rejects a zero unit count"
+    )]
     fn victim_unit(&self) -> usize {
         self.units
             .iter()

@@ -127,6 +127,7 @@ impl Generational {
             let Some(old) = self.tenured_queue.pop_front() else {
                 break;
             };
+            #[expect(clippy::expect_used, reason = "every tenured_queue entry is resident")]
             let entry = self.resident.remove(&old).expect("tenured queue in sync");
             self.tenured_used -= u64::from(entry.size);
             scope.evict(old, entry.size);
@@ -142,12 +143,17 @@ impl Generational {
             let Some(old) = self.nursery_queue.pop_front() else {
                 break;
             };
+            #[expect(clippy::expect_used, reason = "every nursery_queue entry is resident")]
             let entry = *self.resident.get(&old).expect("nursery queue in sync");
             self.nursery_used -= u64::from(entry.size);
             let promote = entry.nursery_hits >= self.promote_threshold
                 && u64::from(entry.size) <= self.tenured_capacity;
             if promote {
                 self.make_tenured_room(u64::from(entry.size), scope);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "promotion moves a block that make_nursery_room just read from `resident`"
+                )]
                 let e = self.resident.get_mut(&old).expect("still present");
                 e.region = Region::Tenured;
                 self.tenured_queue.push_back(old);

@@ -84,6 +84,10 @@ impl LruCache {
 
     /// Carves `size` bytes from the hole at `addr`.
     fn take_from_hole(&mut self, addr: u64, size: u32) {
+        #[expect(
+            clippy::expect_used,
+            reason = "callers pass an address find_hole returned"
+        )]
         let len = self.holes.remove(&addr).expect("hole must exist");
         debug_assert!(len >= u64::from(size));
         if len > u64::from(size) {
@@ -115,6 +119,10 @@ impl LruCache {
     fn evict_lru(&mut self) -> Option<(SuperblockId, u32)> {
         let (&stamp, &id) = self.by_recency.iter().next()?;
         self.by_recency.remove(&stamp);
+        #[expect(
+            clippy::expect_used,
+            reason = "by_recency and resident are updated together"
+        )]
         let p = self.resident.remove(&id).expect("recency index is in sync");
         self.used -= u64::from(p.size);
         self.free_range(p.addr, u64::from(p.size));
@@ -166,6 +174,10 @@ impl CacheOrg for LruCache {
             let had_enough_bytes = self.free_bytes() >= u64::from(size);
             let mut scope = EvictionScope::new(sink);
             let addr = loop {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "no hole fits a block within capacity, so a block is resident"
+                )]
                 let (vid, vsize) = self
                     .evict_lru()
                     .expect("a nonempty cache always has an LRU victim");

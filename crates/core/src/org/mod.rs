@@ -79,6 +79,10 @@ impl RawInsert {
             match ev {
                 CacheEvent::Padding { bytes } => report.padding += bytes,
                 CacheEvent::EvictionBegin => current = Some(RawEviction::default()),
+                #[expect(
+                    clippy::expect_used,
+                    reason = "an EvictionScope opens its run before the first Evicted"
+                )]
                 CacheEvent::Evicted { id, size } => {
                     current
                         .as_mut()
@@ -86,6 +90,10 @@ impl RawInsert {
                         .evicted
                         .push((id, size));
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "an EvictionScope emits EvictionEnd only to close a run it opened"
+                )]
                 CacheEvent::EvictionEnd { .. } => {
                     report
                         .evictions
@@ -216,13 +224,12 @@ pub trait CacheOrg: fmt::Debug + Send {
         if !self.flush_events(&mut buf) {
             return None;
         }
-        let mut all = RawEviction::default();
-        for &ev in buf.events() {
-            if let CacheEvent::Evicted { id, size } = ev {
-                all.evicted.push((id, size));
-            }
-        }
-        Some(all)
+        let evicted = RawInsert::from_events(buf.events())
+            .evictions
+            .into_iter()
+            .flat_map(|e| e.evicted)
+            .collect();
+        Some(RawEviction { evicted })
     }
 
     /// Feedback channel: called by [`crate::CodeCache`] after every access

@@ -82,6 +82,10 @@ pub fn check_event_grammar(events: &[CacheEvent], id: SuperblockId, size: u32) -
                 assert_eq!((iid, isize), (id, size), "Inserted carries wrong block");
                 inserted_seen = true;
             }
+            #[expect(
+                clippy::panic,
+                reason = "a conformance check fails by panicking, like assert!"
+            )]
             CacheEvent::Hit { .. } | CacheEvent::Miss { .. } | CacheEvent::Unlinked { .. } => {
                 panic!("organizations must not emit {ev:?}");
             }
@@ -98,6 +102,10 @@ pub fn check_event_grammar(events: &[CacheEvent], id: SuperblockId, size: u32) -
 /// # Panics
 ///
 /// Panics (with a diagnostic) on any contract violation.
+#[expect(
+    clippy::expect_used,
+    reason = "a conformance check fails by panicking, like assert!"
+)]
 pub fn conformance(mut org: Box<dyn CacheOrg>) {
     let cap = org.capacity();
     assert!(cap > 0);
@@ -154,6 +162,10 @@ pub fn conformance(mut org: Box<dyn CacheOrg>) {
 
     // Duplicate insertion is rejected (via the legacy shim, which must
     // stay wired to the event path).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the fill loop above inserted at least one block"
+    )]
     let last = inserted.last().unwrap().0;
     assert!(matches!(
         org.insert(last, 64),
@@ -191,6 +203,10 @@ pub fn conformance(mut org: Box<dyn CacheOrg>) {
             CacheEvent::EvictionBegin => begins += 1,
             CacheEvent::EvictionEnd { bytes, .. } => flushed_bytes += bytes,
             CacheEvent::Evicted { .. } => {}
+            #[expect(
+                clippy::panic,
+                reason = "a conformance check fails by panicking, like assert!"
+            )]
             other => panic!("flush emitted non-eviction event {other:?}"),
         }
     }

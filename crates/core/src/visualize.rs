@@ -35,6 +35,7 @@ pub fn occupancy_chart(cache: &CodeCache) -> String {
     const WIDTH: usize = 40;
     let mut per_unit: BTreeMap<UnitId, (u64, usize)> = BTreeMap::new();
     for (id, size) in cache.org().resident_entries() {
+        #[expect(clippy::expect_used, reason = "every resident block lies in a unit")]
         let unit = cache.unit_of(id).expect("resident blocks have units");
         let e = per_unit.entry(unit).or_insert((0, 0));
         e.0 += u64::from(size);
@@ -81,6 +82,7 @@ pub fn occupancy_chart(cache: &CodeCache) -> String {
 pub fn link_graph_dot(cache: &CodeCache) -> String {
     let mut clusters: BTreeMap<UnitId, Vec<String>> = BTreeMap::new();
     for (id, size) in cache.org().resident_entries() {
+        #[expect(clippy::expect_used, reason = "every resident block lies in a unit")]
         let unit = cache.unit_of(id).expect("resident blocks have units");
         clusters
             .entry(unit)

@@ -124,7 +124,7 @@ fn core_and_trait_paths_are_equivalent_for_every_org() {
                 let mut depth = 0i32;
                 for &ev in core_buf.events() {
                     match ev {
-                        CacheEvent::EvictionBegin => depth += 1,
+                        CacheEvent::EvictionBegin { .. } => depth += 1,
                         CacheEvent::EvictionEnd { .. } => depth -= 1,
                         _ => {}
                     }

@@ -47,7 +47,7 @@ fn render(report: &ServeReport) -> String {
     let mut out = format!(
         "Serve: {} — {} tenants on {} thread(s), {:.1} s wall\n\
          offered {} requests ({} events); delivered {}, applied {}, \
-         dropped {} ({} requests), rejected {} frame(s){}\n\
+         dropped {} ({} requests), rejected {} frame(s) ({} foreign){}\n\
          throughput {:.0} events/s, queue high-water {} events\n\
          latency (ms): p50 {}  p95 {}  p99 {}  max {}  ({} samples)\n\n",
         report.name,
@@ -61,6 +61,7 @@ fn render(report: &ServeReport) -> String {
         report.dropped_events,
         report.dropped_requests,
         report.rejected_frames,
+        report.foreign_frames,
         if report.disconnected {
             ", DISCONNECTED"
         } else {

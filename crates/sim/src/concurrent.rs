@@ -124,17 +124,25 @@ pub fn simulate_concurrent_with(
             .map(|group| scope.spawn(move || run_group(group, slice)))
             .collect();
         for handle in handles {
-            // cce-analyze: allow(panic-path): join fails only when the worker panicked; re-raising is the right propagation
-            for (t, result) in handle.join().expect("concurrent replay worker panicked") {
+            #[expect(
+                clippy::expect_used,
+                reason = "join fails only when the worker panicked; re-raising is the right propagation"
+            )]
+            let group = handle.join().expect("concurrent replay worker panicked");
+            for (t, result) in group {
                 results[t] = Some(result);
             }
         }
     });
-    results
+    #[expect(
+        clippy::expect_used,
+        reason = "tenant t goes to group t % threads, so every slot is filled by construction"
+    )]
+    let results = results
         .into_iter()
-        // cce-analyze: allow(panic-path): tenant t goes to group t % threads, so every slot is filled by construction
         .map(|r| r.expect("every tenant was assigned to a worker"))
-        .collect()
+        .collect();
+    results
 }
 
 type TenantRun<'a> = (usize, SimDriver<TenantSession>, Cursor<'a>);

@@ -35,7 +35,9 @@ use crate::overhead::OverheadModel;
 use crate::simulator::{EventSource, SimConfig, SimError, SimResult};
 use cce_core::idmap::IdMap;
 use cce_core::shard::{jump_hash, shard_capacities};
-use cce_core::{CacheError, CacheEvent, CacheStats, Granularity, SuperblockId};
+use cce_core::{
+    CacheError, CacheEvent, CacheStats, EventSink, EvictionScope, Granularity, SuperblockId,
+};
 use cce_dbt::TraceEvent;
 use std::collections::VecDeque;
 
@@ -92,6 +94,20 @@ impl LadderObserver for NoObserver {
 impl<F: FnMut(usize, CacheEvent)> LadderObserver for F {
     fn on_event(&mut self, cell: usize, event: CacheEvent) {
         self(cell, event)
+    }
+}
+
+/// One cell's view of a [`LadderObserver`] as an [`EventSink`], so the
+/// ladder emits each eviction invocation through the core's
+/// [`EvictionScope`] like every organization does.
+struct CellSink<'a, O> {
+    obs: &'a mut O,
+    cell: usize,
+}
+
+impl<O: LadderObserver> EventSink for CellSink<'_, O> {
+    fn event(&mut self, event: CacheEvent) {
+        self.obs.on_event(self.cell, event);
     }
 }
 
@@ -730,9 +746,8 @@ fn process_invocation<O: LadderObserver>(
     stats.eviction_invocations += 1;
     stats.blocks_evicted += victims.len() as u64;
     stats.bytes_evicted += bytes;
-    if O::ACTIVE {
-        obs.on_event(cell, CacheEvent::EvictionBegin);
-    }
+    let mut sink = CellSink { obs, cell };
+    let mut scope = O::ACTIVE.then(|| EvictionScope::new(&mut sink));
     let mut removed = 0u64;
     let mut unlinked = 0u64;
     for &victim in victims {
@@ -771,40 +786,22 @@ fn process_invocation<O: LadderObserver>(
             }
         }
         resident[v] &= !bit;
-        if O::ACTIVE {
-            obs.on_event(
-                cell,
-                CacheEvent::Evicted {
-                    id: ids[v],
-                    size: sizes[v],
-                },
-            );
+        if let Some(scope) = &mut scope {
+            scope.evict(ids[v], sizes[v]);
         }
         if survivors > 0 {
             stats.unlink_operations += 1;
             stats.links_unlinked += u64::from(survivors);
             unlinked += u64::from(survivors);
-            if O::ACTIVE {
-                obs.on_event(
-                    cell,
-                    CacheEvent::Unlinked {
-                        id: ids[v],
-                        links: survivors,
-                    },
-                );
+            if let Some(scope) = &mut scope {
+                scope.unlinked(survivors);
             }
         }
     }
     let dropped = removed - unlinked;
     stats.links_dropped_free += dropped;
-    if O::ACTIVE {
-        obs.on_event(
-            cell,
-            CacheEvent::EvictionEnd {
-                bytes,
-                links_dropped_free: dropped,
-            },
-        );
+    if let Some(scope) = scope {
+        scope.close(dropped);
     }
 }
 
@@ -1050,7 +1047,9 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(stream, want.events());
-        assert!(stream.contains(&CacheEvent::Unlinked { id: b, links: 2 }));
+        assert!(stream
+            .iter()
+            .any(|e| matches!(e, CacheEvent::Unlinked { id, links: 2, .. } if *id == b)));
         assert_eq!(
             stream
                 .iter()
@@ -1059,10 +1058,14 @@ mod tests {
             1,
             "the cross-shard fan-in merges into b's one unlink"
         );
-        assert!(stream.contains(&CacheEvent::EvictionEnd {
-            bytes: 60,
-            links_dropped_free: 1
-        }));
+        assert!(stream.iter().any(|e| matches!(
+            e,
+            CacheEvent::EvictionEnd {
+                bytes: 60,
+                links_dropped_free: 1,
+                ..
+            }
+        )));
         let oracle = Replay::new(&trace)
             .config(&base)
             .granularity(rung.granularity)

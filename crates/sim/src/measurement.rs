@@ -123,6 +123,7 @@ fn log_normal<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::overhead::{EVICTION_EQ2, MISS_EQ3, UNLINK_EQ4};
     use crate::regression::fit_line;
 
     #[test]
@@ -133,14 +134,12 @@ mod tests {
         assert!(samples.len() >= 10_000);
         let fit = fit_line(&samples).unwrap();
         assert!(
-            // cce-analyze: allow(cost-constant): tolerance check against Eq. 2, not a definition
-            (fit.model.slope - 2.77).abs() < 0.25,
+            (fit.model.slope - EVICTION_EQ2.slope).abs() < 0.25,
             "slope {}",
             fit.model.slope
         );
         assert!(
-            // cce-analyze: allow(cost-constant): tolerance check against Eq. 2, not a definition
-            (fit.model.intercept - 3055.0).abs() < 300.0,
+            (fit.model.intercept - EVICTION_EQ2.intercept).abs() < 300.0,
             "intercept {}",
             fit.model.intercept
         );
@@ -152,14 +151,12 @@ mod tests {
         let samples = Campaign::dynamorio_like().miss_samples(10_000, 7);
         let fit = fit_line(&samples).unwrap();
         assert!(
-            // cce-analyze: allow(cost-constant): tolerance check against Eq. 3, not a definition
-            (fit.model.slope - 75.4).abs() < 4.0,
+            (fit.model.slope - MISS_EQ3.slope).abs() < 4.0,
             "slope {}",
             fit.model.slope
         );
         assert!(
-            // cce-analyze: allow(cost-constant): tolerance check against Eq. 3, not a definition
-            (fit.model.intercept - 1922.0).abs() < 900.0,
+            (fit.model.intercept - MISS_EQ3.intercept).abs() < 900.0,
             "intercept {}",
             fit.model.intercept
         );
@@ -170,8 +167,7 @@ mod tests {
         let samples = Campaign::dynamorio_like().unlink_samples(10_000, 9);
         let fit = fit_line(&samples).unwrap();
         assert!(
-            // cce-analyze: allow(cost-constant): tolerance check against Eq. 4, not a definition
-            (fit.model.slope - 296.5).abs() < 20.0,
+            (fit.model.slope - UNLINK_EQ4.slope).abs() < 20.0,
             "slope {}",
             fit.model.slope
         );

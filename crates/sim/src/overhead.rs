@@ -27,9 +27,9 @@ pub struct LinearModel {
 
 /// Eq. 2 as measured in the paper: instructions per eviction-mechanism
 /// invocation vs bytes evicted. This is the **only** place in the
-/// workspace the constants may be spelled out (enforced by
-/// `cce-analyze`'s cost-constant lint); everything else imports the
-/// model or formats it via [`LinearModel`]'s `Display`.
+/// workspace the constants are spelled out; everything else imports the
+/// model or formats it via [`LinearModel`]'s `Display`, and a drifting
+/// copy would show in the `all` digests.
 pub const EVICTION_EQ2: LinearModel = LinearModel {
     slope: 2.77,
     intercept: 3055.0,

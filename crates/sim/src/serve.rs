@@ -420,8 +420,15 @@ pub struct ServeReport {
     pub dropped_requests: u64,
     /// Events inside those shed batches.
     pub dropped_events: u64,
-    /// Frames rejected for CRC/decode failure (stream stayed aligned).
+    /// Frames rejected whole, the stream staying aligned: every
+    /// [`Self::foreign_frames`] one, plus those that failed their CRC or
+    /// did not decode.
     pub rejected_frames: u64,
+    /// The rejected frames that decoded but named a block outside their
+    /// tenant: another tenant's id or chain source, or an index past the
+    /// source registry. Nonzero means a misbehaving client; the rest of
+    /// [`Self::rejected_frames`] is line noise.
+    pub foreign_frames: u64,
     /// True when the stream died mid-frame instead of terminating.
     pub disconnected: bool,
     /// Wall-clock duration of the run in seconds.
@@ -726,6 +733,7 @@ pub fn run_serve(plan: &ServePlan, cfg: &ServeConfig) -> Result<ServeReport, Sim
 
     let mut delivered_events = 0u64;
     let mut rejected_frames = 0u64;
+    let mut foreign_frames = 0u64;
     let mut disconnected = false;
 
     let (gen_out, worker_outs) = std::thread::scope(|scope| {
@@ -758,6 +766,7 @@ pub fn run_serve(plan: &ServePlan, cfg: &ServeConfig) -> Result<ServeReport, Sim
                             tenant < cfg.tenants && localize(&mut events, tenant, sources).is_ok();
                         if !inside {
                             rejected_frames += 1;
+                            foreign_frames += 1;
                             continue;
                         }
                         let count = events.len();
@@ -863,6 +872,7 @@ pub fn run_serve(plan: &ServePlan, cfg: &ServeConfig) -> Result<ServeReport, Sim
         dropped_requests: ingress.dropped_requests,
         dropped_events: ingress.dropped_events,
         rejected_frames,
+        foreign_frames,
         disconnected: disconnected || gen_out.write_failed,
         wall_secs,
         throughput_events_per_sec: if wall_secs > 0.0 {

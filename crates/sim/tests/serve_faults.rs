@@ -107,6 +107,7 @@ fn crc_corrupt_frames_are_rejected_without_losing_the_stream() {
     let corrupted = plan.requests.len() as u64 / every;
     assert!(corrupted > 0, "the plan is too small to corrupt anything");
     assert_eq!(report.rejected_frames, corrupted);
+    assert_eq!(report.foreign_frames, 0, "line noise is not a foreign id");
     assert!(!report.disconnected, "rejection must not kill the stream");
     assert_eq!(report.dropped_events, 0);
     // Every healthy frame was applied; every corrupt one was skipped
@@ -185,6 +186,10 @@ fn mixed_tenant_frames_are_rejected_whole() {
     };
     let (plan, report) = serve_edited_with_watchdog(cfg, spoil);
     assert_eq!(report.rejected_frames, SPOILED.len() as u64);
+    assert_eq!(
+        report.foreign_frames, 3,
+        "every spoiled frame names a foreign block"
+    );
     assert!(!report.disconnected, "rejection must not kill the stream");
     assert_eq!(report.dropped_events, 0);
     assert_eq!(

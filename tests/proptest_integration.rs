@@ -78,7 +78,7 @@ fn per_event_reference(
     let mut run_bytes = 0;
     for ev in settled.events() {
         match *ev {
-            CacheEvent::EvictionBegin => run_bytes = 0,
+            CacheEvent::EvictionBegin { .. } => run_bytes = 0,
             CacheEvent::Evicted { size, .. } => run_bytes += u64::from(size),
             CacheEvent::EvictionEnd { .. } => sums[1] += model.eviction_cost(run_bytes),
             CacheEvent::Unlinked { links, .. } => sums[2] += model.unlink_cost(links),
