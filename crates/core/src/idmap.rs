@@ -20,8 +20,8 @@
 //! the last one into the hole). That order still depends on a table's
 //! history, not just its contents, so it must never reach an event
 //! stream, a `SimResult` or rendered output: count, sum or sort
-//! (DESIGN.md §8; `cce-analyze` `nondet-taint` treats every
-//! `IdMap`/`IdSet` walk as a source).
+//! (DESIGN.md §8; `clippy.toml` disallows `IdMap::{iter, retain}`,
+//! and `IdSet` has no walk).
 
 use crate::ids::SuperblockId;
 use std::collections::hash_map::Entry;
@@ -391,6 +391,10 @@ mod tests {
     /// `BTreeMap`/`BTreeSet` twin, with ids on both sides of
     /// [`DIRECT_IDS`]; the pair must agree after every step.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the walks are checked against a sorted twin, never against an order"
+    )]
     fn tables_agree_with_a_btree_model_on_both_sides_of_the_bound() {
         use std::collections::{BTreeMap, BTreeSet};
         let pool: Vec<SuperblockId> = [

@@ -51,7 +51,12 @@
 #![deny(unsafe_code)]
 #![cfg_attr(
     not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::iter_over_hash_type
+    )
 )]
 
 pub mod cache;

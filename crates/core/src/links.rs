@@ -48,8 +48,11 @@ fn detach(rows: &mut Rows, mirror: &mut Rows, id: SuperblockId, count_self: bool
 }
 
 /// Empties every row of `rows`, keeping each allocated like [`detach`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "every row is emptied, order-free"
+)]
 fn empty_rows(rows: &mut Rows) {
-    // cce-analyze: allow(nondet-taint): every row is emptied, order-free
     rows.retain(|_, row| {
         row.clear();
         true
@@ -145,9 +148,12 @@ impl LinkGraph {
     /// Iterates every live link as `(from, to)` pairs, **unordered**: the
     /// sequence differs from graph to graph and run to run. Count it or
     /// sort it; never let it reach an event stream or rendered output.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "consumers count (census) or sort (visualize)"
+    )]
     pub fn iter_links(&self) -> impl Iterator<Item = (SuperblockId, SuperblockId)> + '_ {
         self.out
-            // cce-analyze: allow(nondet-taint): consumers count (census) or sort (visualize)
             .iter()
             .flat_map(|(from, row)| row.iter().map(move |&to| (from, to)))
     }

@@ -71,6 +71,9 @@ pub struct RawInsert {
 
 impl RawInsert {
     /// Reassembles an owned report from an insertion's event stream.
+    /// Folds like [`crate::InsertReport::from_events`]: an invocation
+    /// runs from an `EvictionBegin` to the next `EvictionEnd`, and an
+    /// event outside such a run, or a run left open, is skipped.
     #[must_use]
     pub fn from_events(events: &[CacheEvent]) -> RawInsert {
         let mut report = RawInsert::default();
@@ -78,31 +81,20 @@ impl RawInsert {
         for &ev in events {
             match ev {
                 CacheEvent::Padding { bytes } => report.padding += bytes,
-                CacheEvent::EvictionBegin => current = Some(RawEviction::default()),
-                #[expect(
-                    clippy::expect_used,
-                    reason = "an EvictionScope opens its run before the first Evicted"
-                )]
-                CacheEvent::Evicted { id, size } => {
-                    current
-                        .as_mut()
-                        .expect("Evicted outside EvictionBegin/End")
-                        .evicted
-                        .push((id, size));
+                CacheEvent::EvictionBegin => {
+                    current.get_or_insert_with(RawEviction::default);
                 }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "an EvictionScope emits EvictionEnd only to close a run it opened"
-                )]
+                CacheEvent::Evicted { id, size } => {
+                    if let Some(run) = current.as_mut() {
+                        run.evicted.push((id, size));
+                    }
+                }
                 CacheEvent::EvictionEnd { .. } => {
-                    report
-                        .evictions
-                        .push(current.take().expect("EvictionEnd without EvictionBegin"));
+                    report.evictions.extend(current.take());
                 }
                 _ => {}
             }
         }
-        debug_assert!(current.is_none(), "unterminated eviction invocation");
         report
     }
 }
@@ -244,5 +236,46 @@ pub trait CacheOrg: fmt::Debug + Send {
     /// Only recency-aware policies (LRU) need to override this.
     fn note_hit(&mut self, id: SuperblockId) {
         let _ = id;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::InsertReport;
+
+    #[test]
+    fn raw_insert_skips_events_outside_an_invocation() {
+        let lone_evicted = [CacheEvent::Evicted {
+            id: SuperblockId(1),
+            size: 8,
+        }];
+        let lone_end = [CacheEvent::EvictionEnd {
+            bytes: 8,
+            links_dropped_free: 0,
+        }];
+        assert_eq!(RawInsert::from_events(&lone_evicted), RawInsert::default());
+        assert_eq!(RawInsert::from_events(&lone_end), RawInsert::default());
+    }
+
+    #[test]
+    fn raw_insert_counts_the_invocations_insert_report_counts() -> Result<(), CacheError> {
+        let mut orgs: Vec<Box<dyn CacheOrg>> = vec![
+            Box::new(unit_fifo::UnitFifo::new(4_096, 8)?),
+            Box::new(fine_fifo::FineFifo::new(4_096)?),
+        ];
+        for org in &mut orgs {
+            let mut buf = EventBuffer::new();
+            let (mut raw, mut report) = (0, 0);
+            for i in 0..400u64 {
+                buf.clear();
+                org.insert_events(SuperblockId(i), 40 + (i % 9) as u32 * 25, None, &mut buf)?;
+                raw += RawInsert::from_events(buf.events()).evictions.len();
+                report += InsertReport::from_events(buf.events()).evictions.len();
+            }
+            assert!(raw > 0, "{org:?} never evicted");
+            assert_eq!(raw, report, "{org:?}");
+        }
+        Ok(())
     }
 }

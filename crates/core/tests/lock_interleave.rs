@@ -101,6 +101,10 @@ fn drive_with<S: CacheSession>(
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a watchdog timeout only turns a hang into a failure"
+)]
 fn arbiter_reviews_interleave_with_serving_without_deadlock() {
     for threads in THREAD_COUNTS {
         for shards in [2u32, 4] {
@@ -155,6 +159,10 @@ fn arbiter_reviews_interleave_with_serving_without_deadlock() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a watchdog timeout only turns a hang into a failure"
+)]
 fn two_threads_on_one_tenant_conserve_accesses_links_and_capacity() {
     // Two threads drive clones of the *same* tenant handle while the
     // arbiter keeps re-sizing that tenant against an idle one: the

@@ -24,6 +24,7 @@
 //! Table 1 superblock counts); `--seed` controls trace generation.
 
 #![deny(unsafe_code)]
+#![warn(clippy::iter_over_hash_type)]
 
 mod all;
 mod chaining;

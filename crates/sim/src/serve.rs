@@ -728,7 +728,10 @@ pub fn run_serve(plan: &ServePlan, cfg: &ServeConfig) -> Result<ServeReport, Sim
     });
     let done = AtomicBool::new(false);
 
-    // cce-analyze: allow(nondet-taint): wall-clock timing is the benchmark's measurement, not cache state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timing is the benchmark's measurement, not cache state"
+    )]
     let started = Instant::now();
 
     let mut delivered_events = 0u64;
@@ -785,7 +788,10 @@ pub fn run_serve(plan: &ServePlan, cfg: &ServeConfig) -> Result<ServeReport, Sim
                         if admitted {
                             delivered_events += count as u64;
                             let lane = &lanes[tenant % cfg.threads];
-                            // cce-analyze: allow(nondet-taint): wall-clock timing is the benchmark's measurement, not cache state
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "wall-clock timing is the benchmark's measurement, not cache state"
+                            )]
                             let enqueued_at = Instant::now();
                             lock(&lane.queue).push_back(Batch {
                                 tenant,
@@ -828,7 +834,10 @@ pub fn run_serve(plan: &ServePlan, cfg: &ServeConfig) -> Result<ServeReport, Sim
         (gen_out, worker_outs)
     });
 
-    // cce-analyze: allow(nondet-taint): wall-clock timing is the benchmark's measurement, not cache state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock timing is the benchmark's measurement, not cache state"
+    )]
     let wall_secs = started.elapsed().as_secs_f64();
 
     let mut applied_by_tenant = vec![0u64; cfg.tenants];
@@ -915,7 +924,10 @@ fn unix_pair() -> Result<(Box<dyn Write + Send>, Box<dyn Read + Send>), SimError
 /// — open-loop means the generator never waits for the server's
 /// verdict, only for the clock.
 fn generate<W: Write>(plan: &ServePlan, cfg: &ServeConfig, writer: W) -> GenOut {
-    // cce-analyze: allow(nondet-taint): wall-clock pacing drives offered load, not cache state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock pacing drives offered load, not cache state"
+    )]
     let start = Instant::now();
     let Ok(mut stream) = StreamWriter::new(writer, &plan.name, plan.event_count, &plan.registry)
     else {
@@ -927,7 +939,10 @@ fn generate<W: Write>(plan: &ServePlan, cfg: &ServeConfig, writer: W) -> GenOut 
     let mut sent = 0u64;
     for (i, req) in plan.requests.iter().enumerate() {
         let target = start + Duration::from_nanos(req.at_nanos);
-        // cce-analyze: allow(nondet-taint): wall-clock pacing drives offered load, not cache state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock pacing drives offered load, not cache state"
+        )]
         let now = Instant::now();
         if target > now {
             std::thread::sleep(target - now);
@@ -1028,7 +1043,10 @@ fn serve_worker(
                     if cfg.faults.apply_delay_micros > 0 {
                         std::thread::sleep(Duration::from_micros(cfg.faults.apply_delay_micros));
                     }
-                    // cce-analyze: allow(nondet-taint): wall-clock timing is the benchmark's measurement, not cache state
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "wall-clock timing is the benchmark's measurement, not cache state"
+                    )]
                     let nanos = batch.enqueued_at.elapsed().as_nanos();
                     latencies.push(u64::try_from(nanos).unwrap_or(u64::MAX));
                 }

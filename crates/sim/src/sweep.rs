@@ -94,11 +94,14 @@ pub fn resolve_jobs(flag: Option<usize>) -> usize {
 /// The pure core of [`resolve_jobs`], separated so the precedence chain
 /// is testable without mutating process environment.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "job-count fallback only; per-job results are merged in config order"
+)]
 pub fn jobs_from(flag: Option<usize>, env: Option<&str>) -> usize {
     flag.filter(|&n| n > 0)
         .or_else(|| env.and_then(|s| s.trim().parse().ok()).filter(|&n| n > 0))
         .unwrap_or_else(|| {
-            // cce-analyze: allow(nondet-taint): job-count fallback only; per-job results are merged in config order
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)

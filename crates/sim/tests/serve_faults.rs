@@ -53,6 +53,10 @@ fn serve_with_watchdog(cfg: ServeConfig) -> (ServePlan, ServeReport) {
 }
 
 /// [`serve_with_watchdog`] on a plan that `edit` rewrote by hand first.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a watchdog timeout only turns a hang into a failure"
+)]
 fn serve_edited_with_watchdog(
     cfg: ServeConfig,
     edit: fn(&mut ServePlan),
