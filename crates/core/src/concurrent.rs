@@ -14,9 +14,11 @@
 //!   interleaving schedules the other tenants (enforced by
 //!   `tests/concurrent_conformance.rs`).
 //! * **Deadlock freedom by ownership.** There is one lock per tenant
-//!   and one for the arbiter. A serving call takes its own tenant's
-//!   lock once per event, and drops it mid-event only when the access
-//!   completes a review epoch, so the review runs with no tenant lock
+//!   and one for the arbiter. A serving call takes only its own
+//!   tenant's lock: a replay holds it once for a whole fed slice
+//!   ([`CacheSession::hold`]) when there is no arbiter, and once per
+//!   event when there is one, dropping it mid-event when the access
+//!   completes a review epoch so the review runs with no tenant lock
 //!   held. Only the arbiter's review ever holds more than one lock —
 //!   the arbiter lock first, then every tenant lock in ascending
 //!   tenant index.
@@ -558,7 +560,9 @@ impl ConcurrentSession {
 /// tenant's solo sharded cache. Every call takes the tenant's lock once
 /// and delegates to its [`ShardedCache`]; a
 /// [`CacheSession::transition`] that completes a review epoch re-takes
-/// it once more, for the chain after the review.
+/// it once more, for the chain after the review. Without an arbiter,
+/// [`CacheSession::hold`] lends the [`ShardedCache`] under one lock for
+/// a whole run, so a replay pays for the lock once per fed slice.
 #[derive(Debug, Clone)]
 pub struct TenantSession {
     session: ConcurrentSession,
@@ -625,6 +629,18 @@ impl CacheSession for TenantSession {
 
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
         self.session.link(self.tenant, from, to)
+    }
+
+    /// Lends the tenant's cache under one lock, unless an arbiter must
+    /// be able to review between events: with no arbiter nothing counts
+    /// accesses, so a held run is [`CacheSession::transition`] minus
+    /// the lock traffic.
+    fn hold(&mut self, run: &mut dyn FnMut(&mut ShardedCache)) -> bool {
+        if self.session.inner.arbiter.is_some() {
+            return false;
+        }
+        run(&mut self.lock().cache);
+        true
     }
 
     fn flush(&mut self, sink: &mut dyn EventSink) -> Option<InsertSummary> {

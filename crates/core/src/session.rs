@@ -15,8 +15,11 @@
 //! trace event in one call: lookup, hinted insert on a miss, and the
 //! chain from the event's source block. `cce_sim::simulator` makes
 //! exactly this call per event (plus the periodic census), so a
-//! [`crate::concurrent::TenantSession`] takes its tenant lock once per
-//! event and a [`crate::shard::ShardedCache`] routes each id once.
+//! [`crate::shard::ShardedCache`] routes each id once. A session that
+//! guards a sharded cache behind a lock also offers
+//! [`CacheSession::hold`], so a replay can take that lock once per fed
+//! slice: a [`crate::concurrent::TenantSession`] does, unless its
+//! arbiter needs the lock released between events.
 //!
 //! Thin convenience wrappers ([`CacheSession::access_or_insert_quiet`],
 //! [`CacheSession::flush_report`]) are provided methods, so
@@ -29,6 +32,7 @@ use crate::cache::{AccessResult, CodeCache, EvictionReport, InsertReport, Insert
 use crate::error::CacheError;
 use crate::events::{EventBuffer, EventSink, NullSink};
 use crate::ids::{Granularity, SuperblockId};
+use crate::shard::ShardedCache;
 use crate::stats::CacheStats;
 use std::fmt;
 
@@ -186,6 +190,23 @@ pub trait CacheSession: fmt::Debug + Send {
     /// Cross-shard links count as inter-unit.
     fn link_census(&self) -> (u64, u64);
 
+    /// Runs `run` once against the sharded cache behind this session,
+    /// with whatever guards it held for the whole run, and returns
+    /// `true`; returns `false` without calling `run` when the session
+    /// has no such cache to lend or must not hold it across calls. A
+    /// replay feeding a slice of events uses it to take a lock once per
+    /// slice instead of once per event, and falls back to the per-call
+    /// methods on `false`.
+    ///
+    /// The default lends nothing. [`crate::concurrent::TenantSession`]
+    /// lends its tenant's cache under the tenant lock, unless its
+    /// session has an arbiter: a review must run with no tenant lock
+    /// held, between the insert and the chain of the access that
+    /// completes an epoch.
+    fn hold(&mut self, _run: &mut dyn FnMut(&mut ShardedCache)) -> bool {
+        false
+    }
+
     /// [`CacheSession::access_or_insert`] with the events discarded.
     ///
     /// # Errors
@@ -236,6 +257,10 @@ impl CacheSession for Box<dyn CacheSession> {
 
     fn link(&mut self, from: SuperblockId, to: SuperblockId) -> Result<bool, CacheError> {
         (**self).link(from, to)
+    }
+
+    fn hold(&mut self, run: &mut dyn FnMut(&mut ShardedCache)) -> bool {
+        (**self).hold(run)
     }
 
     fn flush(&mut self, sink: &mut dyn EventSink) -> Option<InsertSummary> {

@@ -513,6 +513,13 @@ mod tests {
     }
 
     #[test]
+    fn shard_capacities_give_the_remainder_to_the_first_shards() {
+        assert_eq!(shard_capacities(10, 4), [3, 3, 2, 2]);
+        assert_eq!(shard_capacities(8, 4), [2, 2, 2, 2]);
+        assert!(shard_capacities(10, 0).is_empty());
+    }
+
+    #[test]
     fn jump_hash_moves_few_keys_when_growing() {
         // The consistent-hash property: growing 4 → 5 buckets relocates
         // roughly 1/5 of the keys, never a wholesale reshuffle.

@@ -10,7 +10,9 @@
 //! accesses, cross-shard links and flushes, on its own tenant and (in
 //! the shared-handle case) on a tenant another thread is driving too.
 //! A deadlock would show up as a watchdog timeout here rather than a
-//! hung CI job.
+//! hung CI job. Without an arbiter a replay holds the tenant lock for a
+//! whole run of events ([`CacheSession::hold`]); the shared-handle case
+//! runs that path too, against a thread serving call by call.
 //!
 //! Workloads are seed-pinned xorshift streams; every case runs at 1, 2
 //! and 4 threads.
@@ -30,6 +32,8 @@ const CAPACITY: u64 = 2048;
 const REVIEW_PERIOD: u64 = 32;
 /// Accesses per serving thread.
 const ACCESSES: u64 = 2_000;
+/// Accesses per [`CacheSession::hold`] run; divides [`ACCESSES`].
+const HELD_RUN: u64 = 16;
 /// Generous bound for one thread's workload; only a lost lock ever
 /// gets near it.
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -46,10 +50,14 @@ fn arbiter() -> ArbiterConfig {
 }
 
 fn session(tenants: usize, shards: u32) -> ConcurrentSession {
+    session_with(tenants, shards, Some(arbiter()))
+}
+
+fn session_with(tenants: usize, shards: u32, arbiter: Option<ArbiterConfig>) -> ConcurrentSession {
     let configs = (0..tenants)
         .map(|_| TenantConfig::new(CAPACITY, factory()))
         .collect();
-    ConcurrentSession::new(configs, shards, Some(arbiter())).expect("geometry is valid")
+    ConcurrentSession::new(configs, shards, arbiter).expect("geometry is valid")
 }
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -72,32 +80,81 @@ fn drive_with<S: CacheSession>(
     buf: &mut EventBuffer,
     on_link: impl Fn(Result<bool, CacheError>),
 ) {
-    let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (seed.wrapping_mul(0x0100_0000_01b3) | 1);
-    let mut last: Option<SuperblockId> = None;
-    for step in 0..ACCESSES {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
+    let mut workload = Workload::new(seed);
+    for _ in 0..ACCESSES {
+        workload.step(s, buf, &on_link);
+    }
+    s.flush(buf);
+}
+
+/// [`drive_with`] through [`CacheSession::hold`], [`HELD_RUN`] accesses
+/// per run: the tenant lock is held for a run and released between
+/// runs, so another thread on the same tenant interleaves run by run.
+fn drive_held<S: CacheSession>(
+    s: &mut S,
+    seed: u64,
+    buf: &mut EventBuffer,
+    on_link: impl Fn(Result<bool, CacheError>),
+) {
+    let mut workload = Workload::new(seed);
+    for _ in 0..ACCESSES / HELD_RUN {
+        let held = s.hold(&mut |cache| {
+            for _ in 0..HELD_RUN {
+                workload.step(cache, buf, &on_link);
+            }
+        });
+        assert!(held, "a session without an arbiter lends its cache");
+    }
+    s.flush(buf);
+}
+
+/// The seed-pinned workload one access at a time, so it can run call by
+/// call or in held runs.
+struct Workload {
+    rng: u64,
+    last: Option<SuperblockId>,
+    step: u64,
+}
+
+impl Workload {
+    fn new(seed: u64) -> Workload {
+        Workload {
+            rng: 0x9e37_79b9_7f4a_7c15u64 ^ (seed.wrapping_mul(0x0100_0000_01b3) | 1),
+            last: None,
+            step: 0,
+        }
+    }
+
+    fn step<S: CacheSession>(
+        &mut self,
+        s: &mut S,
+        buf: &mut EventBuffer,
+        on_link: &impl Fn(Result<bool, CacheError>),
+    ) {
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        let rng = self.rng;
         let id = SuperblockId(rng % 97);
         let size = 24 + ((rng >> 9) % 101) as u32;
-        let hint = if rng & 0x40 != 0 { last } else { None };
+        let hint = if rng & 0x40 != 0 { self.last } else { None };
         match s.access_or_insert(InsertRequest::new(id, size).with_hint(hint), buf) {
             Ok(_) | Err(CacheError::BlockTooLarge { .. }) => {}
             Err(e) => panic!("unexpected cache error: {e}"),
         }
         if rng & 0x3 == 0 {
-            if let Some(from) = last {
+            if let Some(from) = self.last {
                 if from != id && s.is_resident(from) && s.is_resident(id) {
                     on_link(s.link(from, id));
                 }
             }
         }
-        if step % 512 == 511 {
+        if self.step % 512 == 511 {
             s.flush(buf);
         }
-        last = Some(id);
+        self.last = Some(id);
+        self.step += 1;
     }
-    s.flush(buf);
 }
 
 #[test]
@@ -167,61 +224,68 @@ fn two_threads_on_one_tenant_conserve_accesses_links_and_capacity() {
     // Two threads drive clones of the *same* tenant handle while the
     // arbiter keeps re-sizing that tenant against an idle one: the
     // tenant lock alone must keep every access, link and byte accounted.
+    // A second pass has no arbiter, and thread 1 drives its share in
+    // held runs, so the held lock interleaves with per-call locking.
     const THREADS: usize = 2;
-    for shards in [2u32, 4] {
-        let sess = session(2, shards);
-        let shared = sess.tenant(TenantId(0));
-        let start = Barrier::new(THREADS);
-        let (tx, rx) = mpsc::channel();
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let mut tenant = shared.clone();
-                let tx = tx.clone();
-                let start = &start;
-                scope.spawn(move || {
-                    let mut buf = EventBuffer::new();
-                    start.wait();
-                    drive_with(
-                        &mut tenant,
-                        0x5AFE_0000 | t as u64,
-                        &mut buf,
-                        |linked| match linked {
+    for arbiter in [Some(arbiter()), None] {
+        for shards in [2u32, 4] {
+            let sess = session_with(2, shards, arbiter);
+            let shared = sess.tenant(TenantId(0));
+            let start = Barrier::new(THREADS);
+            let (tx, rx) = mpsc::channel();
+            std::thread::scope(|scope| {
+                for t in 0..THREADS {
+                    let mut tenant = shared.clone();
+                    let tx = tx.clone();
+                    let start = &start;
+                    scope.spawn(move || {
+                        let mut buf = EventBuffer::new();
+                        let seed = 0x5AFE_0000 | t as u64;
+                        let on_link = |linked| match linked {
                             Ok(_) | Err(CacheError::NotResident(_)) => {}
                             Err(e) => panic!("unexpected link error: {e}"),
-                        },
-                    );
-                    tx.send(t).expect("main thread is waiting");
-                });
-            }
-            for _ in 0..THREADS {
-                rx.recv_timeout(WATCHDOG).unwrap_or_else(|_| {
-                    panic!("watchdog: a thread sharing a tenant stalled ({shards} shards)")
-                });
-            }
-        });
+                        };
+                        start.wait();
+                        if arbiter.is_none() && t == 1 {
+                            drive_held(&mut tenant, seed, &mut buf, on_link);
+                        } else {
+                            drive_with(&mut tenant, seed, &mut buf, on_link);
+                        }
+                        tx.send(t).expect("main thread is waiting");
+                    });
+                }
+                for _ in 0..THREADS {
+                    rx.recv_timeout(WATCHDOG).unwrap_or_else(|_| {
+                        panic!("watchdog: a thread sharing a tenant stalled ({shards} shards)")
+                    });
+                }
+            });
 
-        let stats = sess.tenant_stats(TenantId(0));
-        assert_eq!(stats.accesses, THREADS as u64 * ACCESSES);
-        assert_eq!(stats.accesses, stats.hits + stats.misses);
-        let (intra, inter) = shared.link_census();
-        assert_eq!(
-            stats.links_created,
-            stats.links_unlinked + stats.links_dropped_free + intra + inter,
-            "every link is unlinked, dropped free or still live"
-        );
-        assert_eq!(sess.tenant_stats(TenantId(1)).accesses, 0);
+            let stats = sess.tenant_stats(TenantId(0));
+            assert_eq!(stats.accesses, THREADS as u64 * ACCESSES);
+            assert_eq!(stats.accesses, stats.hits + stats.misses);
+            let (intra, inter) = shared.link_census();
+            assert_eq!(
+                stats.links_created,
+                stats.links_unlinked + stats.links_dropped_free + intra + inter,
+                "every link is unlinked, dropped free or still live"
+            );
+            assert_eq!(sess.tenant_stats(TenantId(1)).accesses, 0);
 
-        let total = 2 * CAPACITY;
-        let decisions = sess.decisions();
-        assert!(
-            !decisions.is_empty(),
-            "the arbiter re-sized the shared tenant"
-        );
-        for d in decisions {
-            assert_eq!(d.capacities.iter().sum::<u64>(), total);
+            let total = 2 * CAPACITY;
+            if arbiter.is_some() {
+                let decisions = sess.decisions();
+                assert!(
+                    !decisions.is_empty(),
+                    "the arbiter re-sized the shared tenant"
+                );
+                for d in decisions {
+                    assert_eq!(d.capacities.iter().sum::<u64>(), total);
+                }
+            }
+            let assigned = sess.tenant_capacity(TenantId(0)) + sess.tenant_capacity(TenantId(1));
+            assert_eq!(assigned, total, "final budgets sum to the initial total");
         }
-        let assigned = sess.tenant_capacity(TenantId(0)) + sess.tenant_capacity(TenantId(1));
-        assert_eq!(assigned, total, "final budgets sum to the initial total");
     }
 }
 

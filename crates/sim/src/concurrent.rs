@@ -6,7 +6,10 @@
 //! with several tenants per thread their lock acquisitions interleave
 //! the way independent guest programs' would. Each tenant's replay runs
 //! the exact [`SimDriver`] core every single-threaded `simulate_*` entry
-//! point uses, against that tenant's [`cce_core::TenantSession`] handle.
+//! point uses, against that tenant's [`cce_core::TenantSession`] handle:
+//! without an arbiter the driver takes the tenant lock once per slice
+//! ([`CacheSession::hold`]), with one it takes it once per event, so a
+//! review lands after the same access whatever the slice size.
 //!
 //! **Determinism:** without an arbiter, every tenant's [`SimResult`] is
 //! byte-identical to its solo single-threaded run at the same capacity
@@ -277,6 +280,56 @@ mod tests {
             },
         )
         .unwrap();
+        assert_eq!(fine, coarse, "slice size must be invisible");
+    }
+
+    #[test]
+    fn slicing_does_not_change_arbiter_results() {
+        // An arbiter session is fed event by event, so a review lands
+        // after the same global access whatever the slice size; holding
+        // the tenant lock for a slice would skip or move the reviews.
+        // Between two long tenants on one thread the slice size sets the
+        // interleaving the arbiter sees, so tenant 0 replays one event
+        // and tenant 1's first chunk is one event long: the global
+        // access order, and the point where tenant 0 finishes, are then
+        // the same at every slice size.
+        let mut ts = traces(2);
+        let head = |t: &SharedTrace| -> Arc<[TraceEvent]> { Arc::from(&t.chunks[0][..1]) };
+        let tail: Arc<[TraceEvent]> = Arc::from(&ts[1].chunks[0][1..]);
+        ts[0].chunks = vec![head(&ts[0])];
+        ts[0].event_count = 1;
+        ts[1].chunks = vec![head(&ts[1]), tail];
+        let cfg = ConcurrentSimConfig {
+            sim: SimConfig {
+                capacity: 4 * 1024,
+                ..SimConfig::default()
+            },
+            shards: 2,
+            threads: 1,
+            slice: 1,
+            arbiter: Some(ArbiterConfig {
+                review_period: 512,
+                ..ArbiterConfig::default()
+            }),
+        };
+        let run = |slice: usize| {
+            let tenants = ts
+                .iter()
+                .map(|_| TenantConfig::with_granularity(cfg.sim.granularity, cfg.sim.capacity))
+                .collect();
+            let session = ConcurrentSession::new(tenants, cfg.shards, cfg.arbiter).unwrap();
+            let results =
+                simulate_concurrent_with(&session, &ts, &ConcurrentSimConfig { slice, ..cfg })
+                    .unwrap();
+            (results, session.decisions())
+        };
+        let (fine, fine_decisions) = run(1);
+        let (coarse, coarse_decisions) = run(100_000);
+        assert!(!fine_decisions.is_empty(), "the arbiter re-partitioned");
+        assert_eq!(
+            fine_decisions, coarse_decisions,
+            "slice size moved a review"
+        );
         assert_eq!(fine, coarse, "slice size must be invisible");
     }
 

@@ -225,6 +225,19 @@ mod tests {
     }
 
     #[test]
+    fn unit_count_clamps_to_one_under_two_largest_blocks() {
+        // 1500 B holds one 1000 B block but not two: a single unit.
+        assert_eq!(
+            effective_granularity(Granularity::units(8), 1500, 1000),
+            Granularity::units(1)
+        );
+        assert_eq!(
+            effective_granularity(Granularity::units(8), 2000, 1000),
+            Granularity::units(2)
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "nonzero")]
     fn zero_pressure_panics() {
         let _ = capacity_for_pressure(100, 0);

@@ -314,9 +314,17 @@ pub struct SimDriver<S: CacheSession> {
     session: S,
     name: String,
     label: String,
-    config: SimConfig,
-    sizes: IdMap<u32>,
     event_count: u64,
+    replay: EventLoop,
+}
+
+/// The driver's per-event state, apart from the session it drives, so
+/// one slice can run against the session itself or against the cache
+/// [`CacheSession::hold`] lends.
+#[derive(Debug)]
+struct EventLoop {
+    chaining: bool,
+    sizes: IdMap<u32>,
     census_every: usize,
     /// Events left until the next census; reloads from `census_every`.
     until_census: usize,
@@ -324,6 +332,41 @@ pub struct SimDriver<S: CacheSession> {
     uncacheable: u64,
     census_intra: u64,
     census_inter: u64,
+}
+
+impl EventLoop {
+    /// Replays `events` against `session`. Generic, so the sharded cache
+    /// a held session lends and every bare session keep static dispatch.
+    fn run<C: CacheSession + ?Sized>(
+        &mut self,
+        session: &mut C,
+        events: &[TraceEvent],
+    ) -> Result<(), SimError> {
+        for ev in events {
+            let TraceEvent::Access { id, direct_from } = *ev;
+            let size = *self.sizes.get(&id).ok_or(SimError::UnknownSuperblock(id))?;
+            // One call looks up, inserts on a miss (hinted by the chain
+            // source if resident) and chains the direct transition.
+            match session.transition(id, size, direct_from, self.chaining, &mut NullSink) {
+                Ok(_) => {}
+                // The miss was still recorded (and is still charged); the
+                // block is simulated as permanently uncached.
+                Err(CacheError::BlockTooLarge { .. }) => self.uncacheable += 1,
+                Err(e) => return Err(SimError::Cache(e)),
+            }
+            // The census lands after events census_every − 1,
+            // 2·census_every − 1, … (0-based), as a modulo test would.
+            self.until_census -= 1;
+            if self.until_census == 0 {
+                self.until_census = self.census_every;
+                let (intra, inter) = session.link_census();
+                self.census_intra += intra;
+                self.census_inter += inter;
+            }
+            self.event_idx += 1;
+        }
+        Ok(())
+    }
 }
 
 impl<S: CacheSession> SimDriver<S> {
@@ -351,60 +394,42 @@ impl<S: CacheSession> SimDriver<S> {
             session,
             name: name.to_owned(),
             label,
-            config: *config,
-            sizes: registry.iter().map(|s| (s.id, s.size)).collect(),
             event_count,
-            census_every,
-            until_census: census_every,
-            event_idx: 0,
-            uncacheable: 0,
-            census_intra: 0,
-            census_inter: 0,
+            replay: EventLoop {
+                chaining: config.chaining,
+                sizes: registry.iter().map(|s| (s.id, s.size)).collect(),
+                census_every,
+                until_census: census_every,
+                event_idx: 0,
+                uncacheable: 0,
+                census_intra: 0,
+                census_inter: 0,
+            },
         })
     }
 
-    /// Replays one slice of the event stream.
+    /// Replays one slice of the event stream. A session that lends its
+    /// cache through [`CacheSession::hold`] is held once for the whole
+    /// slice; any other is driven call by call.
     ///
     /// # Errors
     ///
     /// Same conditions as [`simulate_source_session`].
     pub fn feed(&mut self, events: &[TraceEvent]) -> Result<(), SimError> {
-        for ev in events {
-            let TraceEvent::Access { id, direct_from } = *ev;
-            let size = *self.sizes.get(&id).ok_or(SimError::UnknownSuperblock(id))?;
-            // One call looks up, inserts on a miss (hinted by the chain
-            // source if resident) and chains the direct transition.
-            match self.session.transition(
-                id,
-                size,
-                direct_from,
-                self.config.chaining,
-                &mut NullSink,
-            ) {
-                Ok(_) => {}
-                // The miss was still recorded (and is still charged); the
-                // block is simulated as permanently uncached.
-                Err(CacheError::BlockTooLarge { .. }) => self.uncacheable += 1,
-                Err(e) => return Err(SimError::Cache(e)),
-            }
-            // The census lands after events census_every − 1,
-            // 2·census_every − 1, … (0-based), as a modulo test would.
-            self.until_census -= 1;
-            if self.until_census == 0 {
-                self.until_census = self.census_every;
-                let (intra, inter) = self.session.link_census();
-                self.census_intra += intra;
-                self.census_inter += inter;
-            }
-            self.event_idx += 1;
+        let SimDriver {
+            session, replay, ..
+        } = self;
+        let mut held = Ok(());
+        if session.hold(&mut |cache| held = replay.run(cache, events)) {
+            return held;
         }
-        Ok(())
+        replay.run(session, events)
     }
 
     /// Events fed so far.
     #[must_use]
     pub fn events_fed(&self) -> u64 {
-        self.event_idx as u64
+        self.replay.event_idx as u64
     }
 
     /// Finishes the replay and assembles the result, charging Eqs. 2–4
@@ -415,10 +440,10 @@ impl<S: CacheSession> SimDriver<S> {
     /// Returns [`SimError::Ingest`] if the number of fed events differs
     /// from the `event_count` promised at construction.
     pub fn finish(self) -> Result<SimResult, SimError> {
-        if self.event_idx as u64 != self.event_count {
+        if self.replay.event_idx as u64 != self.event_count {
             return Err(SimError::Ingest(format!(
                 "event stream delivered {} events but promised {}",
-                self.event_idx, self.event_count
+                self.replay.event_idx, self.event_count
             )));
         }
         let stats = self.session.stats_snapshot();
@@ -432,9 +457,9 @@ impl<S: CacheSession> SimDriver<S> {
             miss_overhead,
             eviction_overhead,
             unlink_overhead,
-            uncacheable: self.uncacheable,
-            census_intra_links: self.census_intra,
-            census_inter_links: self.census_inter,
+            uncacheable: self.replay.uncacheable,
+            census_intra_links: self.replay.census_intra,
+            census_inter_links: self.replay.census_inter,
         })
     }
 }
